@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import entropy_2d, select_strategy
+from .entropy import _stencil, entropy_2d, select_strategy
 from .image import Image
 
 
@@ -60,11 +60,11 @@ def make_quantizer(intervals):
 
 
 def quantize(img, q):
-    """Replace every pixel with its interval's codeword, per plane."""
-    lowers = np.array([lo for lo, _, _ in q.codebook])
-    codes = np.array([code for _, _, code in q.codebook], dtype=np.uint8)
-    idx = np.searchsorted(lowers, img.pixels, side="right") - 1
-    return Image(codes[idx])
+    """Replace every pixel with its interval's codeword via a 256-entry table."""
+    table = np.zeros(256, dtype=np.uint8)
+    for lo, hi, code in q.codebook:
+        table[lo:hi + 1] = code
+    return Image(table[img.pixels])
 
 
 def cross_mask():
@@ -80,30 +80,11 @@ def averaging_mask():
     return FilterMask(np.ones((5, 5), dtype=np.int64))
 
 
-def _convolve_plane(arr, mask):
-    # out[x, y] = round(sum_{s,t} w(s,t) f(x-s, y-t) / normalizer),
-    # replicate padding, ties away from zero, exact integer arithmetic
-    h, w = arr.shape
-    padded = np.pad(arr, 2, mode="edge").astype(np.int64)
-    acc = np.zeros((h, w), dtype=np.int64)
-    for s in range(-2, 3):
-        for t in range(-2, 3):
-            wt = int(mask.weights[s + 2, t + 2])
-            if wt:
-                acc += wt * padded[2 - s:2 - s + h, 2 - t:2 - t + w]
-    n = mask.normalizer
-    return ((2 * acc + n) // (2 * n)).astype(np.uint8)
-
-
 def smooth(img, mask=None):
     """Normalized mask convolution of each plane (default: cross mask)."""
     if mask is None:
         mask = cross_mask()
-    out = np.stack(
-        [_convolve_plane(img.pixels[:, :, k], mask) for k in range(img.planes)],
-        axis=2,
-    )
-    return Image(out)
+    return Image(_stencil(img.pixels, mask.weights))
 
 
 def combine(original, quantized, smoothed_quantized):

@@ -97,6 +97,10 @@ def _read_manifest(corpus_dir):
         raise CorpusError(f"malformed manifest in {corpus_dir}")
     if len(rows) == 1:
         raise CorpusError(f"empty corpus: manifest in {corpus_dir} has no samples")
+    for line, row in enumerate(rows[1:], start=2):
+        # ids name files through _find_sample, so each must be a plain file-name stem
+        if len(row) != 3 or row[0] in ("", ".", "..") or any(c in row[0] for c in "/\\\0"):
+            raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} is {row!r}")
     return [row[0] for row in rows[1:]]
 
 

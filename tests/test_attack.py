@@ -100,6 +100,11 @@ class TestFgsmTopk:
         with pytest.raises(ValueError, match="exceeds pixel count"):
             ag.fgsm_topk(synth_model, synth_data[0][0], config)
 
+    def test_missing_k_rejected(self, synth_model, synth_data):
+        # a "full" config may leave k unset; top-k must not fall back to full FGSM
+        with pytest.raises(ValueError, match="needs k"):
+            ag.fgsm_topk(synth_model, synth_data[0][0], ag.AttackConfig())
+
     def test_some_yield_with_fifth_of_pixels(self, synth_model, synth_data):
         config = ag.AttackConfig(epsilon=0.5, variant="topk", k=13)  # ~20% of 64
         flips = sum(

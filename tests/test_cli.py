@@ -191,6 +191,17 @@ class TestEvalCommand:
         assert rc == 3
         assert victim.stem.split("_")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["", "00000,0", "../00000,0,1", "sub/00000,0,1"])
+    def test_malformed_manifest_row_exit_code(self, pipeline, tmp_path, capsys, row):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(pipeline["corpus"], broken)
+        with open(broken / "manifest.csv", "a") as f:
+            f.write(row + "\n")
+        rc = main(["eval", "--model", str(pipeline["model"]), "--corpus", str(broken)])
+        assert rc == 3
+        assert "malformed manifest" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -37,9 +37,11 @@ class TestQuantizer:
     def test_four_interval_matches_integer_division(self):
         q = ag.make_quantizer(4)
         rng = np.random.default_rng(3)
-        img = ag.Image(rng.integers(0, 256, size=(6, 9)).astype(np.uint8))
-        expected = (img.pixels.astype(int) // 64) * 64
-        assert np.array_equal(ag.quantize(img, q).pixels, expected)
+        every_value = np.arange(256, dtype=np.uint8).reshape(1, 256)
+        for px in (rng.integers(0, 256, size=(6, 9)).astype(np.uint8), every_value):
+            img = ag.Image(px)
+            expected = (img.pixels.astype(int) // 64) * 64
+            assert np.array_equal(ag.quantize(img, q).pixels, expected)
 
     def test_unsupported_interval_count(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -97,6 +99,13 @@ class TestSmooth:
                 plane = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
                 got = ag.smooth(ag.Image(plane), mask).pixels[:, :, 0]
                 assert got.tolist() == oracles.convolve(plane.tolist(), weights, sum(map(sum, weights)))
+            for _ in range(4):
+                h, w = rng.integers(1, 10, size=2)
+                px = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+                got = ag.smooth(ag.Image(px), mask).pixels
+                for k in range(3):
+                    expected = oracles.convolve(px[:, :, k].tolist(), weights, sum(map(sum, weights)))
+                    assert got[:, :, k].tolist() == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -166,6 +166,22 @@ class TestEvaluate:
         with pytest.raises(ag.CorpusError, match="no samples"):
             ag.evaluate(constant_classifier(), empty)
 
+    @pytest.mark.parametrize("row", ["", "00000", "00000,0"])
+    def test_empty_or_short_manifest_row_rejected(self, tmp_path, row):
+        corpus = write_corpus(tmp_path, [(flat_image(200), flat_image(110))])
+        with open(corpus / "manifest.csv", "a") as f:
+            f.write(row + "\n00000,0,1\n")
+        with pytest.raises(ag.CorpusError, match="line 3"):
+            ag.evaluate(threshold_classifier, corpus)
+
+    @pytest.mark.parametrize("sample_id", ["../00000", "sub/00000", "sub\\00000", ".", ".."])
+    def test_path_like_manifest_id_rejected(self, tmp_path, sample_id):
+        corpus = write_corpus(tmp_path, [(flat_image(200), flat_image(110))])
+        with open(corpus / "manifest.csv", "a") as f:
+            f.write(f"{sample_id},0,1\n")
+        with pytest.raises(ag.CorpusError, match="line 3"):
+            ag.evaluate(threshold_classifier, corpus)
+
 
 class TestReport:
     def test_single_sample_report_layout(self, tmp_path):

@@ -84,10 +84,16 @@ class TestEntropy2d:
 
     def test_rgb_averages_plane_entropies(self):
         rng = np.random.default_rng(41)
-        px = rng.integers(0, 256, size=(6, 6, 3)).astype(np.uint8)
-        profile = ag.entropy_2d(ag.Image(px))
-        assert len(profile.per_plane) == 3
-        assert profile.h2d == pytest.approx(sum(profile.per_plane) / 3, abs=1e-12)
+        noise = rng.integers(0, 256, size=(6, 6, 3)).astype(np.uint8)
+        # values at both ends of 0..255 fill the first and last histogram cells of every plane
+        extremes = rng.choice(np.array([0, 1, 254, 255], dtype=np.uint8), size=(6, 6, 3))
+        for px in (noise, extremes):
+            profile = ag.entropy_2d(ag.Image(px))
+            assert len(profile.per_plane) == 3
+            assert profile.h2d == pytest.approx(sum(profile.per_plane) / 3, abs=1e-12)
+            for k in range(3):
+                assert profile.per_plane[k] == ag.entropy_2d(ag.Image(px[:, :, k])).h2d
+                assert profile.per_plane[k] == pytest.approx(oracles.plane_entropy(px[:, :, k].tolist()), abs=1e-9)
 
     def test_identical_planes_collapse_to_one(self):
         rng = np.random.default_rng(43)
