@@ -264,17 +264,20 @@ def load_model(path):
     return ClassifierModel(parts[0].reshape(d, h), parts[1], parts[2].reshape(h, n), parts[3])
 
 
-def external_classify(command, image_path):
+def external_classify(command, image_path, timeout=None):
     """Run `command <image_path>` and parse its stdout as a prediction vector.
 
     The command must exit 0 and print whitespace-separated nonnegative
-    confidences summing to 1 within 1e-3.
+    confidences summing to 1 within 1e-3. With a `timeout` in seconds, a
+    command still running after it is killed; None waits without limit.
     """
     argv = shlex.split(command) + [str(image_path)]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     except OSError as e:
         raise ExternalClassifierError(f"cannot run {argv[0]!r}: {e}") from e
+    except subprocess.TimeoutExpired:
+        raise ExternalClassifierError(f"classifier command timed out after {timeout:g} s") from None
     if proc.returncode != 0:
         raise ExternalClassifierError(
             f"classifier command exited {proc.returncode}: {proc.stderr.strip()[:200]}"
@@ -305,15 +308,16 @@ class ExternalClassifier:
     """Adapter: classify stored Images through an external command.
 
     Each call writes the image to a temporary PGM/PPM file and hands the
-    path to the command.
+    path to the command, which gets `timeout` seconds (None: no limit).
     """
 
-    def __init__(self, command):
+    def __init__(self, command, timeout=None):
         self.command = command
+        self.timeout = timeout
 
     def __call__(self, img):
         suffix = ".pgm" if img.planes == 1 else ".ppm"
         with tempfile.NamedTemporaryFile(suffix=suffix, delete=True) as f:
             f.write(write_pgm_ppm(img))
             f.flush()
-            return external_classify(self.command, f.name)
+            return external_classify(self.command, f.name, self.timeout)

@@ -7,6 +7,7 @@ errors during eval, 4 classifier errors during detect/eval.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -39,9 +40,23 @@ def _load_dataset(images_path, labels_path, limit=None):
     return images, labels
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_seconds(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _make_classify(args):
     if getattr(args, "external", None):
-        return clf.ExternalClassifier(args.external)
+        return clf.ExternalClassifier(args.external, timeout=args.timeout)
     return clf.ModelClassifier(clf.load_model(args.model))
 
 
@@ -109,6 +124,13 @@ def _cmd_eval(args):
     return 0
 
 
+def _add_classifier_args(p):
+    p.add_argument("--model", help="built-in model file")
+    p.add_argument("--external", help="external classifier command")
+    p.add_argument("--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
+                   help="kill an external classifier call after this long (default: no limit)")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="advguard",
@@ -135,7 +157,7 @@ def _build_parser():
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--limit", type=int, default=None, help="use only the first N samples")
+    p.add_argument("--limit", type=_nonnegative_int, default=None, help="use only the first N samples")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("attack", help="craft FGSM examples and write the effectual corpus")
@@ -146,19 +168,17 @@ def _build_parser():
     p.add_argument("--epsilon", type=float, default=0.10)
     p.add_argument("--variant", choices=("full", "topk"), default="full")
     p.add_argument("--k", type=int, default=None, help="pixel budget for the top-k variant")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_nonnegative_int, default=None, help="attack only the first N samples")
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("detect", help="flag one image as adversarial or benign")
     p.add_argument("image")
-    p.add_argument("--model", help="built-in model file")
-    p.add_argument("--external", help="external classifier command")
+    _add_classifier_args(p)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("eval", help="evaluate detection over a corpus directory")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--model", help="built-in model file")
-    p.add_argument("--external", help="external classifier command")
+    _add_classifier_args(p)
     p.add_argument("--report", default=None, help="write the per-sample CSV report here")
     p.set_defaults(func=_cmd_eval)
     return parser

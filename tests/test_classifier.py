@@ -242,6 +242,11 @@ class TestExternalClassifier:
         with pytest.raises(ag.ExternalClassifierError, match="exited 3"):
             ag.external_classify(cmd, "x.pgm")
 
+    def test_timeout_surfaced(self, tmp_path):
+        cmd = write_stub(tmp_path, "slow.py", "import time; time.sleep(30)\n")
+        with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.2 s"):
+            ag.external_classify(cmd, "x.pgm", timeout=0.2)
+
     def test_bad_sum_rejected(self, tmp_path):
         cmd = write_stub(tmp_path, "badsum.py", "print('0.5 0.6')\n")
         with pytest.raises(ag.ExternalClassifierError, match="sum"):

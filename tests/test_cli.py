@@ -1,6 +1,7 @@
 import re
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import advguard as ag
 from advguard.cli import main
 from synth import template_digits
+
+SLEEPER = f'"{sys.executable}" -c "import time; time.sleep(30)"'
 
 
 def write_idx_pair(tmp_path, images, labels, stem):
@@ -156,6 +159,14 @@ class TestDetectCommand:
         rc = main(["detect", "--external", f'"{sys.executable}" "{stub}"', str(path)])
         assert rc == 4
 
+    def test_external_timeout_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(ag.write_pgm_ppm(ag.Image(np.zeros((4, 4), dtype=np.uint8))))
+        start = time.monotonic()
+        rc = main(["detect", "--external", SLEEPER, "--timeout", "0.5", str(path)])
+        assert rc == 4 and time.monotonic() - start < 10
+        assert "timed out after 0.5 s" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_summary_and_report(self, pipeline, tmp_path, capsys):
@@ -202,6 +213,17 @@ class TestEvalCommand:
         assert rc == 3
         assert "malformed manifest" in capsys.readouterr().err
 
+    def test_external_timeout_exit_code(self, pipeline, tmp_path, capsys):
+        import shutil
+        corpus = tmp_path / "one"
+        shutil.copytree(pipeline["corpus"], corpus)
+        manifest = corpus / "manifest.csv"
+        manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:2]))
+        start = time.monotonic()
+        rc = main(["eval", "--external", SLEEPER, "--timeout", "0.5", "--corpus", str(corpus)])
+        assert rc == 4 and time.monotonic() - start < 10
+        assert "timed out" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -212,3 +234,18 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_negative_limit_rejected(self, pipeline, tmp_path, command, capsys):
+        args = {
+            "train": ["train", "--labels", str(pipeline["labels"]), "--model", str(tmp_path / "m.bin")],
+            "attack": ["attack", "--model", str(pipeline["model"]), "--out", str(tmp_path / "c")],
+        }[command]
+        assert main(args + ["--images", str(pipeline["images"]), "--limit", "-1"]) == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists() and not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_timeout_rejected(self, tmp_path, seconds, capsys):
+        assert main(["detect", "--external", "cmd", "--timeout", seconds, str(tmp_path / "x.pgm")]) == 2
+        assert "--timeout: must be finite and > 0" in capsys.readouterr().err

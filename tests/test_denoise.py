@@ -107,6 +107,44 @@ class TestSmooth:
                     expected = oracles.convolve(px[:, :, k].tolist(), weights, sum(map(sum, weights)))
                     assert got[:, :, k].tolist() == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]), st.sampled_from([1, 3]))
+    def test_random_masks_match_convolution_oracle(self, seed, top, planes):
+        # top 5 puts sum(w) on both sides of 64, the largest int16-exact total
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, top + 1, size=(5, 5))
+        weights[2, 2] += weights.sum() == 0
+        h, w = rng.integers(1, 10, size=2)
+        px = rng.integers(0, 256, size=(h, w, planes)).astype(np.uint8)
+        got = ag.smooth(ag.Image(px), ag.FilterMask(weights)).pixels
+        for k in range(planes):
+            expected = oracles.convolve(px[:, :, k].tolist(), weights.tolist(), int(weights.sum()))
+            assert got[:, :, k].tolist() == expected
+
+    @pytest.mark.parametrize("total", [64, 65])
+    @pytest.mark.parametrize("pattern", ["full", "checkerboard"])
+    def test_weight_totals_at_the_int16_limit(self, total, pattern):
+        # 510 * 64 + 64 < 2**15 <= 510 * 65 + 65: int16 sums hold up to 64, not 65
+        weights = np.ones((5, 5), dtype=np.int64)
+        weights[2, 2] += total - 25
+        if pattern == "full":
+            px = np.full((7, 8, 3), 255, dtype=np.uint8)
+        else:
+            px = (np.indices((7, 8, 3)).sum(axis=0) % 2 * 255).astype(np.uint8)
+        got = ag.smooth(ag.Image(px), ag.FilterMask(weights)).pixels
+        for k in range(3):
+            assert got[:, :, k].tolist() == oracles.convolve(px[:, :, k].tolist(), weights.tolist(), total)
+        if pattern == "full":
+            assert np.all(got == 255)
+
+    def test_single_large_weight(self):
+        weights = np.zeros((5, 5), dtype=np.int64)
+        weights[0, 1] = 3000
+        px = np.random.default_rng(5).integers(0, 256, size=(6, 7, 3)).astype(np.uint8)
+        got = ag.smooth(ag.Image(px), ag.FilterMask(weights)).pixels
+        for k in range(3):
+            assert got[:, :, k].tolist() == oracles.convolve(px[:, :, k].tolist(), weights.tolist(), 3000)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_output_stays_in_input_range(self, seed):

@@ -32,6 +32,12 @@ class TestNeighborhoodAverage:
             got = ag.neighborhood_average(plane)
             assert got.tolist() == oracles.box_average(plane.tolist())
 
+    def test_full_scale_plane(self):
+        plane = np.full((9, 6), 255, dtype=np.uint8)
+        assert np.array_equal(ag.neighborhood_average(plane), plane)
+        board = (np.indices((9, 6)).sum(axis=0) % 2 * 255).astype(np.uint8)
+        assert ag.neighborhood_average(board).tolist() == oracles.box_average(board.tolist())
+
     def test_accepts_and_returns_image(self):
         img = ag.Image(np.full((3, 3), 9, dtype=np.uint8))
         out = ag.neighborhood_average(img)
