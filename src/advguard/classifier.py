@@ -26,6 +26,10 @@ class ExternalClassifierError(RuntimeError):
     """The external classifier command failed or produced invalid output."""
 
 
+class _TimedOut(ExternalClassifierError):
+    """The external classifier command ran past its timeout."""
+
+
 class PredictionVector:
     """Per-class confidences; the label is the argmax, lowest index on ties."""
 
@@ -96,49 +100,65 @@ class TrainConfig:
             raise ValueError("learning rate and init range must be positive")
 
 
-def _flatten_input(x):
+def _row(x):
+    """One input as a (1, d) float64 row."""
     if isinstance(x, Image):
         x = to_float(x)  # byte-domain inputs always enter the net as [0, 1]
     if isinstance(x, FloatImage):
-        return x.pixels.ravel()
-    return np.asarray(x, dtype=np.float64).ravel()
+        x = x.pixels
+    return np.asarray(x, dtype=np.float64).reshape(1, -1)
 
 
-def _softmax(z):
-    """Softmax over the last axis: one logit vector or a batch of rows."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _dataset(images, labels):
+    """Images/FloatImages/array rows as an (n, d) float64 matrix, and their labels."""
+    rows = [_row(im) for im in images]
+    X = np.concatenate(rows) if rows else np.empty((0, 0))
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (len(X),):
+        raise ValueError("images and labels are not aligned")
+    return X, y
+
+
+def _check_class(model, c):
+    if not 0 <= c < model.n_classes:
+        raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
+
+
+def _forward(model, X):
+    """The network on an (n, d) batch: hidden pre-activations, activations, softmax rows."""
+    if X.shape[1] != model.input_size:
+        raise ValueError(f"dimension mismatch: input has {X.shape[1]} values, model expects {model.input_size}")
+    z1 = X @ model.w1 + model.b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ model.w2 + model.b2
+    e = np.exp(z2 - z2.max(axis=1, keepdims=True))
+    return z1, a1, e / e.sum(axis=1, keepdims=True)
+
+
+def _backward(model, X, Y):
+    """a1 and the mean cross-entropy's output and hidden gradients against one-hot rows Y."""
+    z1, a1, p = _forward(model, X)
+    g2 = (p - Y) / len(X)
+    return a1, g2, (g2 @ model.w2.T) * (z1 > 0.0)
+
+
+def _gradients(model, x, c):
+    """One input as a (1, d) row, then _backward's results for class c."""
+    _check_class(model, c)
+    X = _row(x)
+    return (X, *_backward(model, X, np.eye(model.n_classes)[c]))
 
 
 def forward(model, x):
     """Run the network on a flattened input; returns a PredictionVector."""
-    v = _flatten_input(x)
-    if v.size != model.input_size:
-        raise ValueError(f"dimension mismatch: input has {v.size} values, model expects {model.input_size}")
-    a1 = np.maximum(v @ model.w1 + model.b1, 0.0)
-    return PredictionVector(_softmax(a1 @ model.w2 + model.b2))
+    return PredictionVector(_forward(model, _row(x))[2])
 
 
 def loss(model, x, c):
     """Cross-entropy of the prediction against class c, clamped above log 0."""
-    if not 0 <= c < model.n_classes:
-        raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
+    _check_class(model, c)
     p = forward(model, x).confidences[c]
     return float(-np.log(max(p, 1e-300)))
-
-
-def _backprop(model, v, c):
-    z1 = v @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    p = _softmax(a1 @ model.w2 + model.b2)
-    dz2 = p.copy()
-    dz2[c] -= 1.0
-    dw2 = np.outer(a1, dz2)
-    da1 = model.w2 @ dz2
-    dz1 = da1 * (z1 > 0.0)
-    dw1 = np.outer(v, dz1)
-    dx = model.w1 @ dz1
-    return dw1, dz1, dw2, dz2, dx
 
 
 def input_gradient(model, x, c):
@@ -147,34 +167,14 @@ def input_gradient(model, x, c):
     The result has the shape of the input (image shape for FloatImage
     inputs, flat otherwise).
     """
-    if not 0 <= c < model.n_classes:
-        raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
-    v = _flatten_input(x)
-    if v.size != model.input_size:
-        raise ValueError(f"dimension mismatch: input has {v.size} values, model expects {model.input_size}")
-    dx = _backprop(model, v, c)[4]
-    if isinstance(x, (FloatImage, Image)):
-        return dx.reshape(x.pixels.shape)
-    return dx
+    dx = (_gradients(model, x, c)[3] @ model.w1.T)[0]
+    return dx.reshape(x.pixels.shape) if isinstance(x, (FloatImage, Image)) else dx
 
 
 def parameter_gradients(model, x, c):
     """Gradients of the loss with respect to (w1, b1, w2, b2)."""
-    if not 0 <= c < model.n_classes:
-        raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
-    v = _flatten_input(x)
-    dw1, db1, dw2, db2, _ = _backprop(model, v, c)
-    return dw1, db1, dw2, db2
-
-
-def _as_matrix(images):
-    """Stack Images/FloatImages/arrays into an (n, d) float64 matrix."""
-    if isinstance(images, np.ndarray) and images.ndim == 2:
-        return np.asarray(images, dtype=np.float64)
-    rows = [_flatten_input(im) for im in images]
-    if not rows:
-        return np.empty((0, 0))
-    return np.stack(rows)
+    X, a1, g2, g1 = _gradients(model, x, c)
+    return X.T @ g1, g1[0], a1.T @ g2, g2[0]
 
 
 def train(images, labels, config=None, hidden=128, classes=10):
@@ -188,49 +188,39 @@ def train(images, labels, config=None, hidden=128, classes=10):
     """
     if config is None:
         config = TrainConfig()
-    X = _as_matrix(images)
-    y = np.asarray(labels, dtype=np.int64)
-    n = X.shape[0]
+    X, y = _dataset(images, labels)
+    n, d = X.shape
     if n == 0:
         raise ValueError("empty dataset")
-    if y.shape != (n,):
-        raise ValueError("images and labels are not aligned")
     if y.min() < 0 or y.max() >= classes:
         raise ValueError(f"label out of range 0..{classes - 1}")
 
     rng = np.random.default_rng(config.seed)
     r = config.init_range
-    d = X.shape[1]
-    w1 = rng.uniform(-r, r, size=(d, hidden))
-    b1 = np.zeros(hidden)
-    w2 = rng.uniform(-r, r, size=(hidden, classes))
-    b2 = np.zeros(classes)
+    model = ClassifierModel(
+        rng.uniform(-r, r, size=(d, hidden)), np.zeros(hidden),
+        rng.uniform(-r, r, size=(hidden, classes)), np.zeros(classes),
+    )
     onehot = np.eye(classes)
-
     lr = config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            Xb, Yb = X[batch], onehot[y[batch]]
-            z1 = Xb @ w1 + b1
-            a1 = np.maximum(z1, 0.0)
-            p = _softmax(a1 @ w2 + b2)
-            g2 = (p - Yb) / len(batch)
-            g1 = (g2 @ w2.T) * (z1 > 0.0)
-            w2 -= lr * (a1.T @ g2)
-            b2 -= lr * g2.sum(axis=0)
-            w1 -= lr * (Xb.T @ g1)
-            b1 -= lr * g1.sum(axis=0)
-    return ClassifierModel(w1, b1, w2, b2)
+            Xb = X[batch]
+            a1, g2, g1 = _backward(model, Xb, onehot[y[batch]])  # g1 from w2 before its update
+            model.w2 -= lr * (a1.T @ g2)
+            model.b2 -= lr * g2.sum(axis=0)
+            model.w1 -= lr * (Xb.T @ g1)
+            model.b1 -= lr * g1.sum(axis=0)
+    # a new model checks the weights again: too large a learning rate makes them non-finite
+    return ClassifierModel(model.w1, model.b1, model.w2, model.b2)
 
 
 def accuracy(model, images, labels):
-    """Fraction of images whose predicted label matches."""
-    X = _as_matrix(images)
-    z1 = np.maximum(X @ model.w1 + model.b1, 0.0)
-    pred = np.argmax(z1 @ model.w2 + model.b2, axis=1)
-    return float(np.mean(pred == np.asarray(labels)))
+    """Fraction of images whose predicted label (as forward gives it) matches."""
+    X, y = _dataset(images, labels)
+    return float(np.mean(np.argmax(_forward(model, X)[2], axis=1) == y))
 
 
 def save_model(model, path):
@@ -277,7 +267,7 @@ def external_classify(command, image_path, timeout=None):
     except OSError as e:
         raise ExternalClassifierError(f"cannot run {argv[0]!r}: {e}") from e
     except subprocess.TimeoutExpired:
-        raise ExternalClassifierError(f"classifier command timed out after {timeout:g} s") from None
+        raise _TimedOut(f"classifier command timed out after {timeout:g} s") from None
     if proc.returncode != 0:
         raise ExternalClassifierError(
             f"classifier command exited {proc.returncode}: {proc.stderr.strip()[:200]}"
@@ -301,7 +291,7 @@ class ModelClassifier:
         self.model = model
 
     def __call__(self, img):
-        return forward(self.model, to_float(img))
+        return forward(self.model, img)
 
 
 class ExternalClassifier:
@@ -309,15 +299,23 @@ class ExternalClassifier:
 
     Each call writes the image to a temporary PGM/PPM file and hands the
     path to the command, which gets `timeout` seconds (None: no limit).
+    Once it has timed out, later calls fail at once without running it.
     """
 
     def __init__(self, command, timeout=None):
         self.command = command
         self.timeout = timeout
+        self._timed_out = None
 
     def __call__(self, img):
+        if self._timed_out is not None:
+            raise ExternalClassifierError(f"{self._timed_out} earlier; not run again")
         suffix = ".pgm" if img.planes == 1 else ".ppm"
         with tempfile.NamedTemporaryFile(suffix=suffix, delete=True) as f:
             f.write(write_pgm_ppm(img))
             f.flush()
-            return external_classify(self.command, f.name, self.timeout)
+            try:
+                return external_classify(self.command, f.name, self.timeout)
+            except _TimedOut as e:
+                self._timed_out = e
+                raise

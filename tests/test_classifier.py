@@ -70,10 +70,6 @@ class TestForward:
         pv = ag.forward(model, x)
         assert pv.confidences.tolist() == pytest.approx(expected, abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            ag.forward(zero_model(d=4), np.zeros(5))
-
     def test_accepts_float_image(self):
         img = ag.FloatImage(np.full((2, 2, 1), 0.5))
         assert len(ag.forward(zero_model(d=4), img)) == 10
@@ -201,6 +197,51 @@ class TestTraining:
         assert ag.accuracy(model, [img], [3]) == 1.0
 
 
+class TestSingleChecks:
+    """Every entry point shares one input-width check and one class-index check."""
+
+    @pytest.mark.parametrize("call", [
+        lambda m, x: ag.forward(m, x),
+        lambda m, x: ag.loss(m, x, 0),
+        lambda m, x: ag.input_gradient(m, x, 0),
+        lambda m, x: ag.parameter_gradients(m, x, 0),
+        lambda m, x: ag.accuracy(m, [x, x], [0, 1]),
+    ], ids=["forward", "loss", "input_gradient", "parameter_gradients", "accuracy"])
+    def test_dimension_mismatch(self, call):
+        with pytest.raises(ValueError, match="dimension mismatch: input has 5 values, model expects 4"):
+            call(zero_model(d=4), np.zeros(5))
+
+    @pytest.mark.parametrize("fn", [ag.loss, ag.input_gradient, ag.parameter_gradients])
+    @pytest.mark.parametrize("c", [-1, 3])
+    def test_class_out_of_range(self, fn, c):
+        with pytest.raises(ValueError, match=f"class index {c} out of range 0..2"):
+            fn(zero_model(n=3), np.zeros(4), c)
+
+    def test_diverged_training_rejected(self):
+        rng = np.random.default_rng(0)
+        imgs = [ag.Image(rng.integers(0, 256, size=(4, 4)).astype(np.uint8)) for _ in range(20)]
+        labels = [int(v) for v in rng.integers(0, 10, 20)]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            ag.train(imgs, labels, ag.TrainConfig(epochs=2, learning_rate=1e300), hidden=8)
+
+    def test_accuracy_rejects_unaligned_labels(self):
+        rng = np.random.default_rng(3)
+        model = random_model(rng)
+        X = rng.uniform(0, 1, (50, model.input_size))
+        with pytest.raises(ValueError, match="images and labels are not aligned"):
+            ag.accuracy(model, X, [ag.forward(model, X[0]).label()])
+
+    def test_accuracy_counts_the_forward_label(self):
+        rng = np.random.default_rng(5)
+        model = random_model(rng)
+        X = rng.uniform(0, 1, (40, model.input_size))
+        labels = [ag.forward(model, x).label() for x in X]
+        assert ag.accuracy(model, X, labels) == 1.0
+        assert ag.accuracy(model, [ag.FloatImage(x.reshape(2, 3, 1)) for x in X], labels) == 1.0
+        # all classes tie under the zero model: the label is the lowest index
+        assert ag.accuracy(zero_model(), np.zeros((3, 4)), [0, 0, 1]) == pytest.approx(2 / 3)
+
+
 class TestModelFile:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -246,6 +287,18 @@ class TestExternalClassifier:
         cmd = write_stub(tmp_path, "slow.py", "import time; time.sleep(30)\n")
         with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.2 s"):
             ag.external_classify(cmd, "x.pgm", timeout=0.2)
+
+    def test_not_rerun_after_timeout(self, tmp_path):
+        log = tmp_path / "starts.txt"
+        body = f"import time\nwith open({str(log)!r}, 'a') as f:\n    f.write('start\\n')\ntime.sleep(30)\n"
+        classify = ag.ExternalClassifier(write_stub(tmp_path, "hang.py", body), timeout=0.5)
+        img = ag.Image(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.5 s$"):
+            classify(img)
+        for _ in range(3):
+            with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.5 s earlier; not run again"):
+                classify(img)
+        assert log.read_text() == "start\n"
 
     def test_bad_sum_rejected(self, tmp_path):
         cmd = write_stub(tmp_path, "badsum.py", "print('0.5 0.6')\n")

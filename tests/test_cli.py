@@ -224,6 +224,21 @@ class TestEvalCommand:
         assert rc == 4 and time.monotonic() - start < 10
         assert "timed out" in capsys.readouterr().err
 
+    def test_timed_out_classifier_not_rerun(self, pipeline, tmp_path, capsys):
+        import shutil
+        corpus = tmp_path / "three"
+        shutil.copytree(pipeline["corpus"], corpus)
+        manifest = corpus / "manifest.csv"
+        manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:4]))
+        log = tmp_path / "starts.txt"
+        stub = tmp_path / "hang.py"
+        stub.write_text(f"import time\nwith open({str(log)!r}, 'a') as f:\n    f.write('start\\n')\ntime.sleep(30)\n")
+        start = time.monotonic()
+        rc = main(["eval", "--external", f'"{sys.executable}" "{stub}"', "--timeout", "0.5", "--corpus", str(corpus)])
+        assert rc == 4 and time.monotonic() - start < 10
+        assert log.read_text().splitlines() == ["start"]
+        assert capsys.readouterr().err.count("not run again") == 5  # 3 pairs, 6 images, 1 timeout
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
