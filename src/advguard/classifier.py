@@ -111,8 +111,11 @@ def _row(x):
 
 def _dataset(images, labels):
     """Images/FloatImages/array rows as an (n, d) float64 matrix, and their labels."""
-    rows = [_row(im) for im in images]
-    X = np.concatenate(rows) if rows else np.empty((0, 0))
+    images = list(images)
+    if images and all(isinstance(im, Image) for im in images):  # one to_float for the batch
+        X = to_float(Image(np.stack([im.pixels.reshape(-1) for im in images]))).pixels[:, :, 0]
+    else:
+        X = np.concatenate([_row(im) for im in images]) if images else np.empty((0, 0))
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (len(X),):
         raise ValueError("images and labels are not aligned")
@@ -197,10 +200,8 @@ def train(images, labels, config=None, hidden=128, classes=10):
 
     rng = np.random.default_rng(config.seed)
     r = config.init_range
-    model = ClassifierModel(
-        rng.uniform(-r, r, size=(d, hidden)), np.zeros(hidden),
-        rng.uniform(-r, r, size=(hidden, classes)), np.zeros(classes),
-    )
+    model = ClassifierModel(rng.uniform(-r, r, size=(d, hidden)), np.zeros(hidden),
+                            rng.uniform(-r, r, size=(hidden, classes)), np.zeros(classes))
     onehot = np.eye(classes)
     lr = config.learning_rate
     for _ in range(config.epochs):

@@ -181,6 +181,20 @@ class TestTraining:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
+    def test_images_train_as_their_float_images(self):
+        # a list of Images is converted as one batch; it must give the bits of one to_float per image
+        rng = np.random.default_rng(3)
+        imgs = [ag.Image(rng.integers(0, 256, size=(5, 3, 3)).astype(np.uint8)) for _ in range(23)]
+        labels = [int(v) for v in rng.integers(0, 10, 23)]
+        floats = [ag.to_float(im) for im in imgs]
+        rows = np.stack([f.pixels.ravel() for f in floats])
+        config = ag.TrainConfig(epochs=2, batch_size=7, seed=4)
+        models = [ag.train(data, labels, config, hidden=6) for data in (imgs, floats, rows)]
+        for m in models[1:]:
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(models[0], name), getattr(m, name))
+        assert ag.accuracy(models[0], imgs, labels) == ag.accuracy(models[0], floats, labels)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
             ag.train([], [], ag.TrainConfig())
