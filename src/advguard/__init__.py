@@ -13,8 +13,6 @@ from .attack import (
     CorpusSummary,
     build_attack_corpus,
     craft,
-    fgsm,
-    fgsm_topk,
 )
 from .classifier import (
     ClassifierModel,

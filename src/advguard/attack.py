@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import forward, input_gradient
+from .classifier import _check_class, _forward, _hidden_gradient, forward
 from .image import FloatImage, Image, to_bytes, to_float, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -48,20 +48,29 @@ class AdversarialExample:
     effectual: bool
 
 
-def _craft(model, x, config, support):
-    """Shared FGSM body; `support` limits perturbation to k pixels or is None."""
+def craft(model, x, config):
+    """FGSM on one image; config.variant and config.k choose which pixels move.
+
+    Full FGSM moves every pixel by epsilon along its gradient sign; top-k
+    moves only the k pixels with the largest gradient magnitude. The label
+    and the loss gradient come from one pass through the network.
+    """
     xf = to_float(x)
-    original_label = forward(model, xf).label()
+    z1, _, p = _forward(model, xf.pixels.reshape(1, -1))
+    original_label = int(np.argmax(p[0]))
     c = config.target if config.target is not None else original_label
-    grad = input_gradient(model, xf, c)
+    _check_class(model, c)
+    # cross-entropy against class c, back through the hidden layer to the pixels
+    g1 = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[c])
+    grad = (g1 @ model.w1.T).reshape(xf.pixels.shape)
     delta = config.epsilon * np.sign(grad)
-    if support is not None:
-        if support > grad.size:
-            raise ValueError(f"k={support} exceeds pixel count {grad.size}")
+    if config.variant == "topk":
+        if config.k > grad.size:
+            raise ValueError(f"k={config.k} exceeds pixel count {grad.size}")
         # largest |gradient| first; stable sort resolves ties by pixel index
         order = np.argsort(-np.abs(grad).ravel(), kind="stable")
         mask = np.zeros(grad.size, dtype=bool)
-        mask[order[:support]] = True
+        mask[order[:config.k]] = True
         delta = delta * mask.reshape(grad.shape)
     adv = to_bytes(FloatImage(np.clip(xf.pixels + delta, 0.0, 1.0)))
     adversarial_label = forward(model, to_float(adv)).label()
@@ -73,25 +82,6 @@ def _craft(model, x, config, support):
         adversarial_label=adversarial_label,
         effectual=adversarial_label != original_label,
     )
-
-
-def fgsm(model, x, config):
-    """Classic FGSM: every pixel moves by epsilon along its gradient sign."""
-    return _craft(model, x, config, None)
-
-
-def fgsm_topk(model, x, config):
-    """FGSM restricted to the k pixels with the largest gradient magnitude."""
-    if config.k is None or config.k < 1:
-        raise ValueError("top-k attack needs k >= 1")
-    return _craft(model, x, config, config.k)
-
-
-def craft(model, x, config):
-    """Dispatch on config.variant."""
-    if config.variant == "topk":
-        return fgsm_topk(model, x, config)
-    return fgsm(model, x, config)
 
 
 @dataclass(eq=False)
@@ -116,6 +106,8 @@ def build_attack_corpus(model, images, labels, config, out_dir):
     `<id>_orig.pgm` / `<id>_adv.pgm` (ppm for RGB) with one manifest line;
     ids are zero-padded input indices, written in input order.
     """
+    if labels is not None and len(labels) != len(images):
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

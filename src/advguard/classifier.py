@@ -112,10 +112,12 @@ def _row(x):
 def _dataset(images, labels):
     """Images/FloatImages/array rows as an (n, d) float64 matrix, and their labels."""
     images = list(images)
-    if images and all(isinstance(im, Image) for im in images):  # one to_float for the batch
+    if not images:
+        raise ValueError("empty dataset")
+    if all(isinstance(im, Image) for im in images):  # one to_float for the batch
         X = to_float(Image(np.stack([im.pixels.reshape(-1) for im in images]))).pixels[:, :, 0]
     else:
-        X = np.concatenate([_row(im) for im in images]) if images else np.empty((0, 0))
+        X = np.concatenate([_row(im) for im in images])
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (len(X),):
         raise ValueError("images and labels are not aligned")
@@ -138,11 +140,16 @@ def _forward(model, X):
     return z1, a1, e / e.sum(axis=1, keepdims=True)
 
 
+def _hidden_gradient(model, z1, g2):
+    """The gradient at the hidden pre-activations z1, given the one at the softmax input."""
+    return (g2 @ model.w2.T) * (z1 > 0.0)
+
+
 def _backward(model, X, Y):
     """a1 and the mean cross-entropy's output and hidden gradients against one-hot rows Y."""
     z1, a1, p = _forward(model, X)
     g2 = (p - Y) / len(X)
-    return a1, g2, (g2 @ model.w2.T) * (z1 > 0.0)
+    return a1, g2, _hidden_gradient(model, z1, g2)
 
 
 def _gradients(model, x, c):
@@ -193,8 +200,6 @@ def train(images, labels, config=None, hidden=128, classes=10):
         config = TrainConfig()
     X, y = _dataset(images, labels)
     n, d = X.shape
-    if n == 0:
-        raise ValueError("empty dataset")
     if y.min() < 0 or y.max() >= classes:
         raise ValueError(f"label out of range 0..{classes - 1}")
 
@@ -244,6 +249,9 @@ def load_model(path):
     version, d, h, n = struct.unpack("<IIII", data[4:20])
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model format version {version}")
+    for layer, size in (("input", d), ("hidden", h), ("output", n)):
+        if size == 0:
+            raise ValueError(f"{layer} layer size is 0")
     counts = (d * h, h, h * n, n)
     if len(data) - 20 != 8 * sum(counts):
         raise ValueError("model file length mismatch")

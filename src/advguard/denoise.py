@@ -29,6 +29,16 @@ class FilterMask:
 
     weights: np.ndarray
 
+    def __post_init__(self):
+        w = np.asarray(self.weights)
+        if w.shape != (5, 5):
+            raise ValueError(f"filter mask must be 5x5, got shape {w.shape}")
+        if not np.issubdtype(w.dtype, np.integer):
+            raise ValueError(f"filter mask weights must be integer, got {w.dtype}")
+        if w.sum() == 0:
+            raise ValueError("filter mask weights need a nonzero sum")
+        self.weights = w
+
     @property
     def normalizer(self):
         return int(self.weights.sum())

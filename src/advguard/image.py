@@ -151,10 +151,12 @@ def read_pgm_ppm(data):
         planes = 3
     else:
         raise FormatError(f"malformed header: unsupported magic {magic!r}")
+    if not all(t.isdigit() for t in tokens[1:4]):  # int() alone would take a sign or underscores
+        raise FormatError("malformed header: non-numeric dimension or maxval")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise FormatError("malformed header: non-numeric dimension or maxval") from None
+    except ValueError:  # more digits than int() converts
+        raise FormatError("malformed header: dimension or maxval too long") from None
     if width < 1 or height < 1:
         raise FormatError(f"malformed header: dimensions must be at least 1x1, got {width}x{height}")
     if maxval != 255:

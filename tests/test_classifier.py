@@ -199,6 +199,10 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty dataset"):
             ag.train([], [], ag.TrainConfig())
 
+    def test_empty_accuracy_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            ag.accuracy(zero_model(), [], [])
+
     def test_label_out_of_range_rejected(self):
         img = ag.Image(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError, match="label out of range"):
@@ -275,6 +279,14 @@ class TestModelFile:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError, match="magic"):
+            ag.load_model(path)
+
+    @pytest.mark.parametrize("sizes, layer", [((0, 3, 2), "input"), ((4, 0, 2), "hidden"), ((4, 3, 0), "output")])
+    def test_zero_layer_size_rejected(self, tmp_path, sizes, layer):
+        d, h, n = sizes
+        path = tmp_path / "model.bin"
+        ag.save_model(ag.ClassifierModel(np.zeros((d, h)), np.zeros(h), np.zeros((h, n)), np.zeros(n)), path)
+        with pytest.raises(ValueError, match=f"{layer} layer size is 0"):
             ag.load_model(path)
 
 

@@ -75,6 +75,18 @@ class TestMasks:
         assert mask.normalizer == 25
         assert np.all(mask.weights == 1)
 
+    @pytest.mark.parametrize("weights, match", [
+        (np.ones((3, 3), dtype=np.int64), "5x5"),
+        (np.ones((7, 7), dtype=np.int64), "5x5"),
+        (np.ones((5, 5)), "integer"),
+        (np.ones((5, 5), dtype=bool), "integer"),
+        (np.zeros((5, 5), dtype=np.int64), "nonzero sum"),
+        (np.array([[1, -1, 0, 0, 0]] * 5), "nonzero sum"),
+    ], ids=["3x3", "7x7", "float", "bool", "zero", "zero-sum"])
+    def test_invalid_mask_rejected(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            ag.FilterMask(weights)
+
 
 class TestSmooth:
     def test_constant_image_unchanged(self):

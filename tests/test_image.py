@@ -73,6 +73,32 @@ class TestPgmPpm:
         with pytest.raises(ag.FormatError, match="trailing"):
             ag.read_pgm_ppm(b"P5\n2 2\n255\n" + bytes(5))
 
+    @pytest.mark.parametrize("header", [b"P5 +2 1_0 255", b"P5 2 10 +255", b"P5 -2 10 255", b"P5 2 1e1 255"])
+    def test_header_fields_must_be_decimal_digits(self, header):
+        with pytest.raises(ag.FormatError, match="non-numeric"):
+            ag.read_pgm_ppm(header + b"\n" + bytes(20))
+
+    def test_header_leading_zeros_are_decimal(self):
+        assert ag.read_pgm_ppm(b"P5 02 010 0255\n" + bytes(20)).pixels.shape == (10, 2, 1)
+
+    def test_header_number_too_long_for_int(self):
+        with pytest.raises(ag.FormatError, match="too long"):
+            ag.read_pgm_ppm(b"P5 " + b"1" * 5000 + b" 1 255\n" + bytes(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda head, tail: head + tail,
+                  st.sampled_from([b"P5 ", b"P6 ", b"P5\n2 2\n", b"P6 1 1 255\n", b"P5 1 1 255 "]),
+                  st.binary(max_size=32)),
+    ))
+    def test_any_bytes_parse_or_raise_format_error(self, data):
+        try:
+            img = ag.read_pgm_ppm(data)
+        except ag.FormatError:
+            return
+        assert isinstance(img, ag.Image)
+
     def test_header_comments_skipped(self):
         img = ag.read_pgm_ppm(b"P5\n# a comment\n2 1 255\n" + bytes([9, 8]))
         assert img.pixels[:, :, 0].tolist() == [[9, 8]]
