@@ -50,6 +50,7 @@ from .detector import (
     EvaluationResult,
     Verdict,
     detect,
+    detect_batch,
     evaluate,
     write_report,
 )

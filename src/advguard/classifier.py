@@ -109,15 +109,28 @@ def _row(x):
     return np.asarray(x, dtype=np.float64).reshape(1, -1)
 
 
-def _dataset(images, labels):
-    """Images/FloatImages/array rows as an (n, d) float64 matrix, and their labels."""
+def _rows(images):
+    """Images/FloatImages/array rows as an (n, d) matrix: uint8 bytes when all are Images, else float64.
+
+    Bytes take an eighth of the memory; _floats converts them where the
+    network needs them, so training holds only one mini-batch as floats.
+    """
     images = list(images)
     if not images:
         raise ValueError("empty dataset")
-    if all(isinstance(im, Image) for im in images):  # one to_float for the batch
-        X = to_float(Image(np.stack([im.pixels.reshape(-1) for im in images]))).pixels[:, :, 0]
-    else:
-        X = np.concatenate([_row(im) for im in images])
+    if all(isinstance(im, Image) for im in images):
+        return np.stack([im.pixels.reshape(-1) for im in images])
+    return np.concatenate([_row(im) for im in images])
+
+
+def _floats(X):
+    """Rows from _rows in the network's float64 [0, 1] domain; one to_float for all byte rows."""
+    return to_float(Image(X)).pixels[:, :, 0] if X.dtype == np.uint8 else X
+
+
+def _dataset(images, labels):
+    """_rows of the images, and their labels."""
+    X = _rows(images)
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (len(X),):
         raise ValueError("images and labels are not aligned")
@@ -213,7 +226,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            Xb = X[batch]
+            Xb = _floats(X[batch])
             a1, g2, g1 = _backward(model, Xb, onehot[y[batch]])  # g1 from w2 before its update
             model.w2 -= lr * (a1.T @ g2)
             model.b2 -= lr * g2.sum(axis=0)
@@ -226,7 +239,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
 def accuracy(model, images, labels):
     """Fraction of images whose predicted label (as forward gives it) matches."""
     X, y = _dataset(images, labels)
-    return float(np.mean(np.argmax(_forward(model, X)[2], axis=1) == y))
+    return float(np.mean(np.argmax(_forward(model, _floats(X))[2], axis=1) == y))
 
 
 def save_model(model, path):
@@ -301,6 +314,10 @@ class ModelClassifier:
 
     def __call__(self, img):
         return forward(self.model, img)
+
+    def batch(self, images):
+        """Classify same-size Images with one forward pass over all their rows."""
+        return [PredictionVector(p) for p in _forward(self.model, _floats(_rows(images)))[2]]
 
 
 class ExternalClassifier:

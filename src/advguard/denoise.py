@@ -7,6 +7,7 @@ original intensity. Ties keep the quantized value.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,8 @@ class FilterMask:
             raise ValueError(f"filter mask weights must be integer, got {w.dtype}")
         if w.sum() == 0:
             raise ValueError("filter mask weights need a nonzero sum")
+        if w.min() < 0:  # a signed sum can leave 0..255 and would wrap as a byte
+            raise ValueError(f"filter mask weights must be nonnegative, got {w.min()}")
         self.weights = w
 
     @property
@@ -53,6 +56,7 @@ class FilteredTriple:
     combined: Image
 
 
+@lru_cache(maxsize=None)
 def make_quantizer(intervals):
     """Build the uniform left-value quantizer with 2, 4, or 6 intervals.
 
@@ -69,20 +73,28 @@ def make_quantizer(intervals):
     return Quantizer(intervals, codebook)
 
 
-def quantize(img, q):
-    """Replace every pixel with its interval's codeword via a 256-entry table."""
+@lru_cache(maxsize=16)  # a few codebooks in use; custom quantizers must not grow it without bound
+def _table(q):
+    """The 256-entry codeword table of a quantizer, built once per codebook."""
     table = np.zeros(256, dtype=np.uint8)
     for lo, hi, code in q.codebook:
         table[lo:hi + 1] = code
-    return Image(table[img.pixels])
+    table.flags.writeable = False
+    return table
+
+
+def quantize(img, q):
+    """Replace every pixel with its interval's codeword via a 256-entry table."""
+    return Image(_table(q)[img.pixels])
+
+
+_CROSS = np.zeros((5, 5), dtype=np.int64)
+_CROSS[2, :] = _CROSS[:, 2] = 1
 
 
 def cross_mask():
     """The 5x5 mask weighting the center pixel and its axis neighbors by 1."""
-    w = np.zeros((5, 5), dtype=np.int64)
-    w[2, :] = 1
-    w[:, 2] = 1
-    return FilterMask(w)
+    return FilterMask(_CROSS.copy())
 
 
 def averaging_mask():
@@ -104,11 +116,26 @@ def combine(original, quantized, smoothed_quantized):
     """
     if not (original.pixels.shape == quantized.pixels.shape == smoothed_quantized.pixels.shape):
         raise ValueError("shape mismatch between original and filtered images")
-    f = original.pixels.astype(np.int16)
-    q = quantized.pixels.astype(np.int16)
-    s = smoothed_quantized.pixels.astype(np.int16)
-    out = np.where(np.abs(q - f) <= np.abs(s - f), q, s)
-    return Image(out.astype(np.uint8))
+    return Image(_combine(original.pixels, quantized.pixels, smoothed_quantized.pixels))
+
+
+def _combine(original, quantized, smoothed):
+    """combine on uint8 arrays of one shape."""
+    f, q, s = (a.astype(np.int16) for a in (original, quantized, smoothed))
+    return np.where(np.abs(q - f) <= np.abs(s - f), q, s).astype(np.uint8)
+
+
+def _filter(pixels, strategy):
+    """adaptive_filter on an (H, W, K) uint8 array: quantized, smoothed-quantized or None, combined.
+
+    Every stage works per plane or per pixel, so K may hold the planes of
+    many images side by side.
+    """
+    quantized = _table(make_quantizer(strategy.intervals))[pixels]
+    if not strategy.smooth:
+        return quantized, None, quantized
+    smoothed = _stencil(quantized, _CROSS)
+    return quantized, smoothed, _combine(pixels, quantized, smoothed)
 
 
 def adaptive_filter(img, strategy=None):
@@ -121,8 +148,8 @@ def adaptive_filter(img, strategy=None):
     """
     if strategy is None:
         strategy = select_strategy(entropy_2d(img))
-    quantized = quantize(img, make_quantizer(strategy.intervals))
-    if not strategy.smooth:
+    quantized, smoothed, combined = _filter(img.pixels, strategy)
+    quantized = Image(quantized)
+    if smoothed is None:
         return FilteredTriple(quantized, None, quantized)
-    smoothed = smooth(quantized, cross_mask())
-    return FilteredTriple(quantized, smoothed, combine(img, quantized, smoothed))
+    return FilteredTriple(quantized, Image(smoothed), Image(combined))

@@ -78,8 +78,8 @@ def _stencil(pixels, weights):
     away from zero for the nonnegative sums of nonnegative weights.
 
     The sums run in the narrowest exact type: int16 when
-    510 * sum(|w|) + |sum(w)| < 2**15, which bounds every partial sum and the
-    rounding numerator 2 * acc + sum(w), and int64 otherwise. A weight row
+    511 * sum(w) < 2**15, which bounds every partial sum and the rounding
+    numerator 2 * acc + sum(w), and int64 otherwise. A weight row
     that occurs more than once is summed across the padded image once and
     added down at each of its offsets; a row that occurs once is added tap
     by tap.
@@ -93,8 +93,7 @@ def _stencil(pixels, weights):
     padded[:, :2], padded[:, -2:] = padded[:, 2:3], padded[:, -3:-2]
     rows = weights.tolist()
     n = sum(map(sum, rows))
-    magnitude = sum(abs(wt) for row in rows for wt in row)
-    acc = np.zeros(pixels.shape, dtype=np.int16 if 510 * magnitude + abs(n) < 2**15 else np.int64)
+    acc = np.zeros(pixels.shape, dtype=np.int16 if 511 * n < 2**15 else np.int64)
     across = {}
     for i, row in enumerate(rows):
         if rows.count(row) == 1:
@@ -123,27 +122,44 @@ def neighborhood_average(plane):
     return Image(avg) if isinstance(plane, Image) else avg
 
 
-def _pair_counts(pixels):
-    """(P, 256, 256) counts of (pixel value, neighborhood average) pairs per plane."""
-    planes = pixels.shape[2]
-    pairs = (np.arange(planes) * 256 + pixels) * 256 + _stencil(pixels, _BOX)
-    return np.bincount(pairs.ravel(), minlength=planes * 65536).reshape(planes, 256, 256)
+def _pair_codes(pixels):
+    """(plane * 256 + value) * 256 + neighborhood average, per pixel of an (H, W, K) uint8 array."""
+    planes = np.arange(pixels.shape[2], dtype=np.uint32)
+    return (planes * 256 + pixels) * 256 + _stencil(pixels, _BOX)
 
 
 def joint_histogram(plane):
     """Count (pixel value, neighborhood average) pairs over one plane."""
     arr = _plane_array(plane)
-    return JointHistogram(_pair_counts(arr[:, :, None])[0], int(arr.size))
+    counts = np.bincount(_pair_codes(arr[:, :, None]).ravel(), minlength=65536)
+    return JointHistogram(counts.reshape(256, 256), int(arr.size))
+
+
+def _profiles(stack, planes):
+    """Entropy profiles of the images laid side by side in an (H, W, N * planes) uint8 stack.
+
+    Each run of equal sorted pair codes is one nonzero cell of a plane's
+    joint histogram, and the runs come in ascending cell order, so every
+    plane's p * log2(p) terms are summed in the same order as over its
+    histogram's nonzero cells.
+    """
+    h, w, depth = stack.shape
+    codes = np.sort(_pair_codes(stack), axis=None)
+    edges = np.empty(codes.size + 1, dtype=bool)  # run boundaries, both ends included
+    edges[0] = edges[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    p = (bounds[1:] - bounds[:-1]) / (h * w)
+    # plane k owns codes [k * 65536, (k + 1) * 65536); +0.0 normalizes -0.0
+    per = -np.bincount(codes[bounds[:-1]] >> 16, weights=p * np.log2(p), minlength=depth) + 0.0
+    per = per.reshape(-1, planes)
+    # a row of at most 3 floats sums in order, as np.mean over one image's planes does
+    return [EntropyProfile(h2d, tuple(row)) for h2d, row in zip(per.mean(axis=1).tolist(), per.tolist())]
 
 
 def entropy_2d(img):
     """2-D entropy of an image, per plane and averaged across planes."""
-    counts = _pair_counts(img.pixels).ravel()
-    cells = np.flatnonzero(counts > 0)
-    p = counts[cells] / (img.height * img.width)
-    # plane k owns cells [k * 65536, (k + 1) * 65536); +0.0 normalizes -0.0
-    per = -np.bincount(cells >> 16, weights=p * np.log2(p), minlength=img.planes) + 0.0
-    return EntropyProfile(float(np.mean(per)), tuple(per.tolist()))
+    return _profiles(img.pixels, img.planes)[0]
 
 
 def select_strategy(profile):

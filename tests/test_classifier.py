@@ -260,6 +260,23 @@ class TestSingleChecks:
         assert ag.accuracy(zero_model(), np.zeros((3, 4)), [0, 0, 1]) == pytest.approx(2 / 3)
 
 
+class TestBatch:
+    def test_one_image_batch_equals_forward(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng)
+        img = ag.Image(rng.integers(0, 256, size=(2, 3)).astype(np.uint8))
+        (pv,) = ag.ModelClassifier(model).batch([img])
+        assert pv.confidences.tolist() == ag.forward(model, img).confidences.tolist()
+
+    def test_labels_equal_forward(self):
+        rng = np.random.default_rng(9)
+        model = random_model(rng, scale=2.0)
+        images = [ag.Image(rng.integers(0, 256, size=(3, 2)).astype(np.uint8)) for _ in range(40)]
+        preds = ag.ModelClassifier(model).batch(images)
+        assert [p.label() for p in preds] == [ag.forward(model, img).label() for img in images]
+        assert len({p.label() for p in preds}) > 1
+
+
 class TestModelFile:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
+from advguard import denoise
 
 SIX_INTERVAL_CODEBOOK = (
     (0, 49, 0),
@@ -47,6 +48,12 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="unsupported"):
             ag.make_quantizer(3)
 
+    def test_table_built_once_per_quantizer(self):
+        q = ag.make_quantizer(4)
+        assert ag.make_quantizer(4) is q
+        assert denoise._table(q) is denoise._table(ag.Quantizer(4, q.codebook))
+        assert not denoise._table(q).flags.writeable
+
     def test_codeword_constant_unchanged(self):
         img = ag.Image(np.full((4, 4), 200, dtype=np.uint8))
         assert ag.quantize(img, ag.make_quantizer(6)) == img
@@ -82,7 +89,8 @@ class TestMasks:
         (np.ones((5, 5), dtype=bool), "integer"),
         (np.zeros((5, 5), dtype=np.int64), "nonzero sum"),
         (np.array([[1, -1, 0, 0, 0]] * 5), "nonzero sum"),
-    ], ids=["3x3", "7x7", "float", "bool", "zero", "zero-sum"])
+        (np.pad([[30]], 2, constant_values=-1), "nonnegative"),  # wrapped 1000 to 232 as a byte
+    ], ids=["3x3", "7x7", "float", "bool", "zero", "zero-sum", "signed"])
     def test_invalid_mask_rejected(self, weights, match):
         with pytest.raises(ValueError, match=match):
             ag.FilterMask(weights)
