@@ -7,7 +7,6 @@ end. The detection test set is every effectual adversarial example plus
 its original, originals counting as benign ground truth.
 """
 
-import gzip
 import os
 import tempfile
 from pathlib import Path
@@ -18,20 +17,15 @@ import advguard as ag
 
 
 def load_mnist():
+    """Train images and labels, then test images and labels, each file plain or gzipped; None if one is missing."""
     d = Path(os.environ.get("ADVGUARD_MNIST_DIR",
                             Path(__file__).resolve().parent.parent / "data" / "mnist"))
-    blobs = {}
-    for key, name in [("train_x", "train-images-idx3-ubyte"), ("train_y", "train-labels-idx1-ubyte"),
-                      ("test_x", "t10k-images-idx3-ubyte"), ("test_y", "t10k-labels-idx1-ubyte")]:
-        plain, gz = d / name, d / (name + ".gz")
-        if plain.is_file():
-            blobs[key] = plain.read_bytes()
-        elif gz.is_file():
-            blobs[key] = gzip.decompress(gz.read_bytes())
-        else:
-            return None
-    return (ag.read_idx_images(blobs["train_x"]), ag.read_idx_labels(blobs["train_y"]),
-            ag.read_idx_images(blobs["test_x"]), ag.read_idx_labels(blobs["test_y"]))
+    names = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"]
+    paths = [next((p for p in (d / name, d / f"{name}.gz") if p.is_file()), None) for name in names]
+    if None in paths:
+        return None
+    readers = [ag.read_idx_images, ag.read_idx_labels] * 2
+    return [read(path.read_bytes()) for read, path in zip(readers, paths)]
 
 
 def synthetic_digits(n, seed):

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _check_class, _forward, _hidden_gradient, forward
-from .image import FloatImage, Image, to_bytes, to_float, write_pgm_ppm
+from .classifier import _check_class, _floats, _forward, _hidden_gradient, _rows, forward
+from .image import FloatImage, Image, to_bytes, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("id", "original_label", "adversarial_label")
@@ -55,14 +55,14 @@ def craft(model, x, config):
     moves only the k pixels with the largest gradient magnitude. The label
     and the loss gradient come from one pass through the network.
     """
-    xf = to_float(x)
-    z1, _, p = _forward(model, xf.pixels.reshape(1, -1))
+    X = _floats(_rows([x]))
+    z1, _, p = _forward(model, X)
     original_label = int(np.argmax(p[0]))
     c = config.target if config.target is not None else original_label
     _check_class(model, c)
     # cross-entropy against class c, back through the hidden layer to the pixels
     g1 = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[c])
-    grad = (g1 @ model.w1.T).reshape(xf.pixels.shape)
+    grad = (g1 @ model.w1.T).reshape(x.pixels.shape)
     delta = config.epsilon * np.sign(grad)
     if config.variant == "topk":
         if config.k > grad.size:
@@ -72,8 +72,8 @@ def craft(model, x, config):
         mask = np.zeros(grad.size, dtype=bool)
         mask[order[:config.k]] = True
         delta = delta * mask.reshape(grad.shape)
-    adv = to_bytes(FloatImage(np.clip(xf.pixels + delta, 0.0, 1.0)))
-    adversarial_label = forward(model, to_float(adv)).label()
+    adv = to_bytes(FloatImage(np.clip(X.reshape(grad.shape) + delta, 0.0, 1.0)))
+    adversarial_label = forward(model, adv).label()
     return AdversarialExample(
         original=x,
         adversarial=adv,

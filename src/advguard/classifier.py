@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import FloatImage, Image, to_float, write_pgm_ppm
+from .image import FloatImage, Image, write_pgm_ppm
 
 MODEL_MAGIC = b"ADVG"
 MODEL_VERSION = 1
@@ -66,8 +66,16 @@ class ClassifierModel:
     b2: np.ndarray  # (n,)
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
+        if np.ndim(self.w1) != 2 or np.ndim(self.w2) != 2:
+            raise ValueError("w1 and w2 must be 2-D")
+        (d, h), n = np.shape(self.w1), np.shape(self.w2)[1]
+        for layer, size in (("input", d), ("hidden", h), ("output", n)):
+            if size == 0:
+                raise ValueError(f"{layer} layer size is 0")
+        for name, shape in (("w1", (d, h)), ("b1", (h,)), ("w2", (h, n)), ("b2", (n,))):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
             setattr(self, name, arr)
@@ -100,15 +108,6 @@ class TrainConfig:
             raise ValueError("learning rate and init range must be positive")
 
 
-def _row(x):
-    """One input as a (1, d) float64 row."""
-    if isinstance(x, Image):
-        x = to_float(x)  # byte-domain inputs always enter the net as [0, 1]
-    if isinstance(x, FloatImage):
-        x = x.pixels
-    return np.asarray(x, dtype=np.float64).reshape(1, -1)
-
-
 def _rows(images):
     """Images/FloatImages/array rows as an (n, d) matrix: uint8 bytes when all are Images, else float64.
 
@@ -119,13 +118,16 @@ def _rows(images):
     if not images:
         raise ValueError("empty dataset")
     if all(isinstance(im, Image) for im in images):
-        return np.stack([im.pixels.reshape(-1) for im in images])
-    return np.concatenate([_row(im) for im in images])
+        return np.array([im.pixels.reshape(-1) for im in images])
+    return np.concatenate([  # byte-domain inputs always enter the net as [0, 1]
+        _floats(im.pixels.reshape(1, -1)) if isinstance(im, Image)
+        else np.asarray(im.pixels if isinstance(im, FloatImage) else im, dtype=np.float64).reshape(1, -1)
+        for im in images])
 
 
 def _floats(X):
-    """Rows from _rows in the network's float64 [0, 1] domain; one to_float for all byte rows."""
-    return to_float(Image(X)).pixels[:, :, 0] if X.dtype == np.uint8 else X
+    """Rows from _rows in the network's float64 [0, 1] domain: byte rows divided by 255."""
+    return X / 255.0 if X.dtype == np.uint8 else X
 
 
 def _dataset(images, labels):
@@ -168,13 +170,13 @@ def _backward(model, X, Y):
 def _gradients(model, x, c):
     """One input as a (1, d) row, then _backward's results for class c."""
     _check_class(model, c)
-    X = _row(x)
+    X = _floats(_rows([x]))
     return (X, *_backward(model, X, np.eye(model.n_classes)[c]))
 
 
 def forward(model, x):
     """Run the network on a flattened input; returns a PredictionVector."""
-    return PredictionVector(_forward(model, _row(x))[2])
+    return PredictionVector(_forward(model, _floats(_rows([x])))[2])
 
 
 def loss(model, x, c):
@@ -262,9 +264,6 @@ def load_model(path):
     version, d, h, n = struct.unpack("<IIII", data[4:20])
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model format version {version}")
-    for layer, size in (("input", d), ("hidden", h), ("output", n)):
-        if size == 0:
-            raise ValueError(f"{layer} layer size is 0")
     counts = (d * h, h, h * n, n)
     if len(data) - 20 != 8 * sum(counts):
         raise ValueError("model file length mismatch")

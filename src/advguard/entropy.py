@@ -44,18 +44,14 @@ class EntropyProfile:
 
 
 def _plane_array(plane):
-    if isinstance(plane, Image):
-        if plane.planes != 1:
-            raise ValueError("expected a single-plane image")
-        return plane.pixels[:, :, 0]
-    arr = np.asarray(plane)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D plane")
-    if arr.dtype != np.uint8:
-        if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() > 255:
-            raise ValueError("plane values must be integers in [0, 255]")
-        arr = arr.astype(np.uint8)
-    return arr
+    """The (H, W) uint8 array of a single-plane Image, or of a 2-D array that Image accepts."""
+    if not isinstance(plane, Image):
+        if np.ndim(plane) != 2:
+            raise ValueError("expected a 2-D plane")
+        plane = Image(plane)
+    if plane.planes != 1:
+        raise ValueError("expected a single-plane image")
+    return plane.pixels[:, :, 0]
 
 
 _BOX = np.ones((5, 5), dtype=np.int64)

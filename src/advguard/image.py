@@ -6,12 +6,15 @@ domain exists only for the classifier and attack code. Float-to-byte
 conversion rounds half away from zero everywhere in this package.
 """
 
+import gzip
 import struct
+import zlib
 
 import numpy as np
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+_GZIP_MAGIC = b"\x1f\x8b"
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -20,13 +23,12 @@ class FormatError(ValueError):
     """A byte stream violates the PGM/PPM or IDX format."""
 
 
-class Image:
-    """8-bit image; ``pixels`` is a (height, width, planes) uint8 array."""
+class _Pixels:
+    """The shape rules of Image and FloatImage: ``pixels`` is a (height, width, planes) array."""
 
     __slots__ = ("pixels",)
 
-    def __init__(self, pixels):
-        arr = np.asarray(pixels)
+    def __init__(self, arr):
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
@@ -35,12 +37,6 @@ class Image:
             raise ValueError(f"plane count must be 1 or 3, got {arr.shape[2]}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image dimensions must be at least 1x1, got {arr.shape[0]}x{arr.shape[1]}")
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"pixel dtype must be integer, got {arr.dtype}")
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("pixel values must be in [0, 255]")
-            arr = arr.astype(np.uint8)
         self.pixels = arr
 
     @property
@@ -54,47 +50,42 @@ class Image:
     @property
     def planes(self):
         return self.pixels.shape[2]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.width}x{self.height}, planes={self.planes})"
+
+
+class Image(_Pixels):
+    """8-bit image; ``pixels`` is a (height, width, planes) uint8 array."""
+
+    __slots__ = ()
+
+    def __init__(self, pixels):
+        super().__init__(np.asarray(pixels))
+        arr = self.pixels
+        if arr.dtype != np.uint8:
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"pixel dtype must be integer, got {arr.dtype}")
+            if arr.min() < 0 or arr.max() > 255:
+                raise ValueError("pixel values must be in [0, 255]")
+            self.pixels = arr.astype(np.uint8)
 
     def __eq__(self, other):
         if not isinstance(other, Image):
             return NotImplemented
         return self.pixels.shape == other.pixels.shape and np.array_equal(self.pixels, other.pixels)
 
-    def __repr__(self):
-        return f"Image({self.width}x{self.height}, planes={self.planes})"
 
-
-class FloatImage:
+class FloatImage(_Pixels):
     """Real-valued image in [0.0, 1.0]; same shape conventions as Image."""
 
-    __slots__ = ("pixels",)
+    __slots__ = ()
 
     def __init__(self, pixels):
-        arr = np.asarray(pixels, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
-        if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-            raise ValueError("expected (height, width, 1or3) values")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("image dimensions must be at least 1x1")
+        super().__init__(np.asarray(pixels, dtype=np.float64))
+        arr = self.pixels
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("values must lie in [0.0, 1.0]")
-        self.pixels = arr
-
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
-    @property
-    def planes(self):
-        return self.pixels.shape[2]
-
-    def __repr__(self):
-        return f"FloatImage({self.width}x{self.height}, planes={self.planes})"
 
 
 def to_float(img):
@@ -143,14 +134,11 @@ def read_pgm_ppm(data):
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("expected a byte sequence")
     data = bytes(data)
+    # the magic must end after two bytes, so a long first token is neither scanned nor quoted
+    if data[:2] not in (b"P5", b"P6") or data[2:3].strip(_WHITESPACE + b"#"):
+        raise FormatError(f"malformed header: unsupported magic {data[:8]!r}")
+    planes = 1 if data[:2] == b"P5" else 3
     tokens, offset = _header_tokens(data, 4)
-    magic = tokens[0]
-    if magic == b"P5":
-        planes = 1
-    elif magic == b"P6":
-        planes = 3
-    else:
-        raise FormatError(f"malformed header: unsupported magic {magic!r}")
     if not all(t.isdigit() for t in tokens[1:4]):  # int() alone would take a sign or underscores
         raise FormatError("malformed header: non-numeric dimension or maxval")
     try:
@@ -178,9 +166,20 @@ def write_pgm_ppm(img):
     return header + img.pixels.tobytes()
 
 
-def read_idx_images(data):
-    """Parse an IDX3 image file (MNIST layout) into a list of Images."""
+def _gunzip(data):
+    """The bytes of `data`, decompressed when they start with the gzip magic."""
     data = bytes(data)
+    if data[:2] != _GZIP_MAGIC:
+        return data
+    try:
+        return gzip.decompress(data)
+    except (gzip.BadGzipFile, EOFError, zlib.error) as e:
+        raise FormatError(f"corrupt gzip data: {e}") from None
+
+
+def read_idx_images(data):
+    """Parse an IDX3 image file (MNIST layout), plain or gzipped, into a list of Images."""
+    data = _gunzip(data)
     if len(data) < 16:
         raise FormatError("length mismatch: IDX3 header needs 16 bytes")
     magic, count, rows, cols = struct.unpack(">IIII", data[:16])
@@ -190,13 +189,15 @@ def read_idx_images(data):
         raise FormatError(f"malformed header: {rows}x{cols} images")
     if len(data) - 16 != count * rows * cols:
         raise FormatError(f"length mismatch: expected {count * rows * cols} pixel bytes, got {len(data) - 16}")
+    if count == 0:  # numpy cannot shape even an empty array when rows * cols overflows it
+        return []
     arr = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows, cols)
     return [Image(a) for a in arr]
 
 
 def read_idx_labels(data):
-    """Parse an IDX1 label file (MNIST layout) into a list of ints in 0..9."""
-    data = bytes(data)
+    """Parse an IDX1 label file (MNIST layout), plain or gzipped, into a list of ints in 0..9."""
+    data = _gunzip(data)
     if len(data) < 8:
         raise FormatError("length mismatch: IDX1 header needs 8 bytes")
     magic, count = struct.unpack(">II", data[:8])

@@ -1,4 +1,3 @@
-import gzip
 import os
 from pathlib import Path
 
@@ -19,32 +18,20 @@ def mnist_dir():
     return Path(os.environ.get("ADVGUARD_MNIST_DIR", default))
 
 
-def _read_maybe_gz(base):
-    if base.is_file():
-        return base.read_bytes()
-    gz = base.with_name(base.name + ".gz")
-    if gz.is_file():
-        return gzip.decompress(gz.read_bytes())
-    return None
-
-
 @pytest.fixture(scope="session")
 def mnist_dataset():
-    """The official MNIST IDX files, or None when they are not on disk.
+    """The official MNIST IDX files, plain or gzipped, or None when they are not on disk.
 
     Tests that need the data call require_mnist() so the skip message is
     emitted from inside the test itself.
     """
     d = mnist_dir()
-    blobs = {key: _read_maybe_gz(d / name) for key, name in MNIST_FILES.items()}
-    if any(v is None for v in blobs.values()):
+    paths = {key: next((p for p in (d / name, d / f"{name}.gz") if p.is_file()), None)
+             for key, name in MNIST_FILES.items()}
+    if None in paths.values():
         return None
-    return {
-        "train_images": ag.read_idx_images(blobs["train_images"]),
-        "train_labels": ag.read_idx_labels(blobs["train_labels"]),
-        "test_images": ag.read_idx_images(blobs["test_images"]),
-        "test_labels": ag.read_idx_labels(blobs["test_labels"]),
-    }
+    return {key: (ag.read_idx_images if key.endswith("images") else ag.read_idx_labels)(path.read_bytes())
+            for key, path in paths.items()}
 
 
 def require_mnist(dataset):

@@ -1,5 +1,6 @@
 import math
 import stat
+import struct
 import sys
 
 import numpy as np
@@ -302,9 +303,22 @@ class TestModelFile:
     def test_zero_layer_size_rejected(self, tmp_path, sizes, layer):
         d, h, n = sizes
         path = tmp_path / "model.bin"
-        ag.save_model(ag.ClassifierModel(np.zeros((d, h)), np.zeros(h), np.zeros((h, n)), np.zeros(n)), path)
+        # ClassifierModel refuses these sizes, so the file is packed by hand, save_model's layout
+        path.write_bytes(b"ADVG" + struct.pack("<IIII", 1, d, h, n) + bytes(8 * (d * h + h + h * n + n)))
         with pytest.raises(ValueError, match=f"{layer} layer size is 0"):
             ag.load_model(path)
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((4,), (3,), (3, 2), (2,)), "2-D"),
+        (((4, 3), (3,), (3,), (2,)), "2-D"),
+        (((4, 0), (0,), (0, 2), (2,)), "hidden layer size is 0"),
+        (((4, 3), (2,), (3, 2), (2,)), r"b1 has shape \(2,\), expected \(3,\)"),
+        (((4, 3), (3,), (2, 2), (2,)), r"w2 has shape \(2, 2\), expected \(3, 2\)"),
+        (((4, 3), (3,), (3, 2), (1, 2)), r"b2 has shape \(1, 2\), expected \(2,\)"),
+    ])
+    def test_constructor_checks_shapes(self, shapes, message):
+        with pytest.raises(ValueError, match=message):
+            ag.ClassifierModel(*(np.zeros(s) for s in shapes))
 
 
 def write_stub(tmp_path, name, body):

@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import re
 import struct
 import sys
@@ -103,6 +105,29 @@ class TestTrainCommand:
         main(args + ["--model", str(tmp_path / "a.bin")])
         main(args + ["--model", str(tmp_path / "b.bin")])
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_gzipped_idx_pair_same_model(self, pipeline, tmp_path):
+        gzipped = {}
+        for key in ("images", "labels"):
+            gzipped[key] = tmp_path / f"{pipeline[key].name}.gz"
+            gzipped[key].write_bytes(gzip.compress(pipeline[key].read_bytes()))
+        args = ["train", "--epochs", "2", "--hidden", "8", "--seed", "11"]
+        digests = []
+        for paths, name in ((pipeline, "plain.bin"), (gzipped, "gzipped.bin")):
+            rc = main(args + ["--images", str(paths["images"]), "--labels", str(paths["labels"]),
+                              "--model", str(tmp_path / name)])
+            assert rc == 0
+            digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_zero_hidden_units_rejected(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--images", str(pipeline["images"]), "--labels", str(pipeline["labels"]),
+            "--model", str(tmp_path / "m.bin"), "--hidden", "0",
+        ])
+        assert rc == 1
+        assert "hidden layer size is 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestAttackCommand:

@@ -47,6 +47,17 @@ class TestNeighborhoodAverage:
         with pytest.raises(ValueError, match="single-plane"):
             ag.neighborhood_average(ag.Image(np.zeros((2, 2, 3), dtype=np.uint8)))
 
+    @pytest.mark.parametrize("plane, message", [
+        (np.zeros(3, dtype=np.uint8), "2-D plane"),
+        (np.zeros((0, 3), dtype=np.uint8), "at least 1x1"),
+        (np.full((2, 2), 300), r"\[0, 255\]"),
+        (np.zeros((2, 2)), "integer"),
+    ])
+    def test_plane_arrays_checked_as_images(self, plane, message):
+        for fn in (ag.neighborhood_average, ag.joint_histogram):
+            with pytest.raises(ValueError, match=message):
+                fn(plane)
+
 
 class TestJointHistogram:
     def test_constant_plane(self):

@@ -1,19 +1,35 @@
 """Fuzzed readers: any input parses or raises the reader's named error.
 
 Each reader gets random bytes plus inputs that pass its magic or header
-check, so the fuzzing also reaches the length, size and row checks.
+check, so the fuzzing also reaches the length, size and row checks. The
+IDX readers also get those inputs gzipped, whole or cut short, and random
+bytes after the gzip magic. One level up, `advguard eval` runs over
+corpora of random files.
 """
 
+import contextlib
+import gzip
+import io
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advguard as ag
+from advguard.cli import main
 from advguard.detector import _read_manifest
 
 SIZES = st.integers(0, 5) | st.integers(0, 2**32 - 1)
+
+
+def with_gzip(payloads):
+    """`payloads`, plus each gzipped whole or cut short, plus random bytes after the gzip magic."""
+    compressed = payloads.map(lambda data: gzip.compress(data, mtime=0))
+    return (payloads | compressed
+            | st.builds(lambda data, cut: data[:cut], compressed, st.integers(0, 64))
+            | st.binary(max_size=48).map(lambda tail: b"\x1f\x8b" + tail))
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +38,9 @@ def workdir(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=48) | st.builds(
+@given(with_gzip(st.binary(max_size=48) | st.builds(
     lambda magic, count, rows, cols, payload: struct.pack(">IIII", magic, count, rows, cols) + payload,
-    st.sampled_from([0x00000803, 0x00000801]), SIZES, SIZES, SIZES, st.binary(max_size=32)))
+    st.sampled_from([0x00000803, 0x00000801]), SIZES, SIZES, SIZES, st.binary(max_size=32))))
 def test_idx_images_parse_or_raise_format_error(data):
     try:
         images = ag.read_idx_images(data)
@@ -34,9 +50,9 @@ def test_idx_images_parse_or_raise_format_error(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=32) | st.builds(
+@given(with_gzip(st.binary(max_size=32) | st.builds(
     lambda magic, count, payload: struct.pack(">II", magic, count) + payload,
-    st.sampled_from([0x00000801, 0x00000803]), SIZES, st.binary(max_size=24)))
+    st.sampled_from([0x00000801, 0x00000803]), SIZES, st.binary(max_size=24))))
 def test_idx_labels_parse_or_raise_format_error(data):
     try:
         labels = ag.read_idx_labels(data)
@@ -69,3 +85,50 @@ def test_manifest_reads_or_raises_corpus_error(workdir, text):
     except ag.CorpusError:
         return
     assert ids and all(isinstance(i, str) for i in ids)
+
+
+# a corpus file: missing, random bytes, a long first token (bytes with no ASCII
+# whitespace) before three header fields, or a Netpbm header of random fields
+CORPUS_FILES = st.none() | st.binary(max_size=2000) | st.binary(min_size=100, max_size=2000).map(
+    lambda data: bytes(c | 0x80 for c in data) + b" 1 1 255\n\x00") | st.builds(
+    lambda magic, w, h, maxval, payload: b"%s %d %d %d\n" % (magic, w, h, maxval) + payload,
+    st.sampled_from([b"P5", b"P6", b"P4"]), st.integers(0, 9), st.integers(0, 9),
+    st.sampled_from([255, 65535]), st.binary(max_size=250))
+
+
+@pytest.fixture(scope="module")
+def model_path(workdir):
+    """A random 64-16-4 model: the size of an 8x8 digit."""
+    rng = np.random.default_rng(7)
+    path = workdir / "eval-model.bin"
+    ag.save_model(ag.ClassifierModel(rng.uniform(-1, 1, (64, 16)), rng.uniform(-1, 1, 16),
+                                     rng.uniform(-1, 1, (16, 4)), rng.uniform(-1, 1, 4)), path)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(CORPUS_FILES, CORPUS_FILES), min_size=1, max_size=20))
+def test_eval_over_random_files_names_every_error(workdir, model_path, pairs):
+    corpus = workdir / "corpus"
+    corpus.mkdir(exist_ok=True)
+    for stale in corpus.iterdir():
+        stale.unlink()
+    rows, readable, unreadable = ["id,original_label,adversarial_label"], [], False
+    for i, pair in enumerate(pairs):
+        rows.append(f"{i:05d},0,1")
+        for suffix, data in zip(("orig", "adv"), pair):
+            if data is not None:
+                (corpus / f"{i:05d}_{suffix}.pgm").write_bytes(data)
+            try:
+                readable.append(ag.read_pgm_ppm(data))
+            except (TypeError, ag.FormatError):  # None reads as a missing file
+                unreadable = True
+    (corpus / "manifest.csv").write_text("\n".join(rows) + "\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus)])
+    # a file the 64-input model cannot take is a classifier error
+    assert rc == (3 if unreadable else 4 if any(img.pixels.size != 64 for img in readable) else 0)
+    lines = stderr.getvalue().splitlines()
+    assert "Traceback" not in stderr.getvalue()
+    assert all(len(line) < 200 for line in lines), max(lines, key=len)

@@ -1,3 +1,4 @@
+import gzip
 import struct
 
 import numpy as np
@@ -41,6 +42,20 @@ class TestImageType:
         with pytest.raises(ValueError, match=r"\[0.0, 1.0\]"):
             ag.FloatImage(np.full((2, 2), 1.5))
 
+    @pytest.mark.parametrize("shape, message", [
+        ((4,), "expected 2-D or 3-D pixel array, got 1-D"),
+        ((2, 2, 2), "plane count must be 1 or 3, got 2"),
+        ((0, 4), "image dimensions must be at least 1x1, got 0x4"),
+    ])
+    @pytest.mark.parametrize("cls", [ag.Image, ag.FloatImage])
+    def test_shape_errors_are_shared(self, cls, shape, message):
+        with pytest.raises(ValueError, match=message):
+            cls(np.zeros(shape, dtype=np.uint8))
+
+    def test_repr_names_the_class(self):
+        assert repr(ag.Image(np.zeros((2, 3), dtype=np.uint8))) == "Image(3x2, planes=1)"
+        assert repr(ag.FloatImage(np.zeros((2, 3, 3)))) == "FloatImage(3x2, planes=3)"
+
 
 class TestPgmPpm:
     def test_parse_p5(self):
@@ -60,6 +75,17 @@ class TestPgmPpm:
     def test_bad_magic_rejected(self):
         with pytest.raises(ag.FormatError, match="magic"):
             ag.read_pgm_ppm(b"P4\n2 2\n255\n" + bytes(4))
+
+    @pytest.mark.parametrize("data", [b"Q" * 10**6, b"P5" + b"x" * 10**6, b"P6\x00" + b"7" * 10**6],
+                             ids=["no-magic", "long-magic", "magic-then-nul"])
+    def test_long_first_token_quoted_briefly(self, data):
+        with pytest.raises(ag.FormatError, match="unsupported magic") as info:
+            ag.read_pgm_ppm(data)
+        assert len(str(info.value)) < 60
+
+    def test_magic_starts_the_file(self):
+        with pytest.raises(ag.FormatError, match="magic"):
+            ag.read_pgm_ppm(b" P5 1 1 255\n" + bytes(1))
 
     def test_wrong_maxval_rejected(self):
         with pytest.raises(ag.FormatError, match="maxval 65535"):
@@ -139,6 +165,9 @@ class TestIdx:
         with pytest.raises(ag.FormatError, match="length mismatch"):
             ag.read_idx_images(idx3_bytes(2, 2, 2, [1, 2, 3, 4]))
 
+    def test_no_images_of_a_huge_size(self):
+        assert ag.read_idx_images(idx3_bytes(0, 3036988439, 3037012561, [])) == []
+
     def test_read_labels(self):
         assert ag.read_idx_labels(idx1_bytes([7, 0, 9])) == [7, 0, 9]
 
@@ -152,6 +181,20 @@ class TestIdx:
 
     def test_empty_label_file(self):
         assert ag.read_idx_labels(idx1_bytes([])) == []
+
+    def test_gzipped_files_read_as_plain(self):
+        images = idx3_bytes(2, 2, 3, range(12))
+        labels = idx1_bytes([4, 2])
+        assert ag.read_idx_images(gzip.compress(images)) == ag.read_idx_images(images)
+        assert ag.read_idx_labels(gzip.compress(labels)) == [4, 2]
+
+    @pytest.mark.parametrize("data", [
+        b"\x1f\x8b", gzip.compress(idx1_bytes([1, 2]))[:-5], b"\x1f\x8b\x08\x00" + bytes(30), b"\x1f\x8b\x09" + bytes(30),
+    ], ids=["magic-only", "truncated", "bad-block", "bad-method"])
+    @pytest.mark.parametrize("read", [ag.read_idx_images, ag.read_idx_labels])
+    def test_corrupt_gzip_rejected(self, read, data):
+        with pytest.raises(ag.FormatError, match="corrupt gzip data"):
+            read(data)
 
     def test_labels_length_mismatch(self):
         with pytest.raises(ag.FormatError, match="length mismatch"):
