@@ -8,13 +8,14 @@ the sign of the loss gradient with respect to the input; sign(0) is 0.
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .classifier import _check_class, _floats, _forward, _hidden_gradient, _rows, forward
-from .image import FloatImage, Image, to_bytes, write_pgm_ppm
+from .classifier import _check_class, _floats, _forward, _hidden_gradient, _rows
+from .image import FloatImage, Image, _chunks, to_bytes, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("id", "original_label", "adversarial_label")
@@ -30,6 +31,10 @@ class AttackConfig:
     target: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("k", "target"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, Integral) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.variant not in ("full", "topk"):
@@ -48,32 +53,52 @@ class AdversarialExample:
     effectual: bool
 
 
+def _check(model, images, config):
+    """Raise ValueError if the model cannot attack every image under config."""
+    for img in images:
+        if img.pixels.size != model.input_size:
+            raise ValueError(f"dimension mismatch: input has {img.pixels.size} values, "
+                             f"model expects {model.input_size}")
+    if config.target is not None:
+        _check_class(model, config.target)
+    if config.variant == "topk" and config.k > model.input_size:
+        raise ValueError(f"k={config.k} exceeds pixel count {model.input_size}")
+
+
+def _fgsm(model, images, config):
+    """FGSM on a checked batch: original labels, adversarial (n, d) byte rows, adversarial labels.
+
+    One forward pass gives every label and softmax row; the loss gradient
+    of each row goes back through the hidden layer to the pixels at once.
+    Top-k ranks each row by |gradient| with a stable sort, so ties go to
+    the lower pixel index.
+    """
+    X = _floats(_rows(images))
+    z1, _, p = _forward(model, X)
+    original = p.argmax(axis=1)
+    c = original if config.target is None else np.full(len(X), config.target)
+    # cross-entropy against class c, back through the hidden layer to the pixels
+    grad = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[c]) @ model.w1.T
+    delta = config.epsilon * np.sign(grad)
+    if config.variant == "topk":
+        order = np.argsort(-np.abs(grad), axis=1, kind="stable")
+        mask = np.zeros(grad.shape, dtype=bool)
+        np.put_along_axis(mask, order[:, :config.k], True, axis=1)
+        delta = delta * mask
+    adv = to_bytes(FloatImage(np.clip(X + delta, 0.0, 1.0))).pixels[:, :, 0]
+    return original.tolist(), adv, _forward(model, _floats(adv))[2].argmax(axis=1).tolist()
+
+
 def craft(model, x, config):
     """FGSM on one image; config.variant and config.k choose which pixels move.
 
     Full FGSM moves every pixel by epsilon along its gradient sign; top-k
-    moves only the k pixels with the largest gradient magnitude. The label
-    and the loss gradient come from one pass through the network.
+    moves only the k pixels with the largest gradient magnitude. A batch of
+    one through the same code as build_attack_corpus.
     """
-    X = _floats(_rows([x]))
-    z1, _, p = _forward(model, X)
-    original_label = int(np.argmax(p[0]))
-    c = config.target if config.target is not None else original_label
-    _check_class(model, c)
-    # cross-entropy against class c, back through the hidden layer to the pixels
-    g1 = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[c])
-    grad = (g1 @ model.w1.T).reshape(x.pixels.shape)
-    delta = config.epsilon * np.sign(grad)
-    if config.variant == "topk":
-        if config.k > grad.size:
-            raise ValueError(f"k={config.k} exceeds pixel count {grad.size}")
-        # largest |gradient| first; stable sort resolves ties by pixel index
-        order = np.argsort(-np.abs(grad).ravel(), kind="stable")
-        mask = np.zeros(grad.size, dtype=bool)
-        mask[order[:config.k]] = True
-        delta = delta * mask.reshape(grad.shape)
-    adv = to_bytes(FloatImage(np.clip(X.reshape(grad.shape) + delta, 0.0, 1.0)))
-    adversarial_label = forward(model, adv).label()
+    _check(model, [x], config)
+    (original_label,), rows, (adversarial_label,) = _fgsm(model, [x], config)
+    adv = Image(rows.reshape(x.pixels.shape))
     return AdversarialExample(
         original=x,
         adversarial=adv,
@@ -101,30 +126,35 @@ class CorpusSummary:
 def build_attack_corpus(model, images, labels, config, out_dir):
     """Attack every image and persist the effectual (original, adversarial) pairs.
 
-    When dataset labels are given, images the model already misclassifies
+    Images are crafted in bounded batches, and a config or image size the
+    model cannot attack raises ValueError before any file is written. When
+    dataset labels are given, images the model already misclassifies
     are skipped rather than attacked. Each effectual example is written as
     `<id>_orig.pgm` / `<id>_adv.pgm` (ppm for RGB) with one manifest line;
     ids are zero-padded input indices, written in input order.
     """
+    images = list(images)
     if labels is not None and len(labels) != len(images):
         raise ValueError(f"{len(images)} images but {len(labels)} labels")
+    _check(model, images, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     attacked = skipped = 0
-    for i, img in enumerate(images):
-        ex = craft(model, img, config)
-        if labels is not None and ex.original_label != int(labels[i]):
-            skipped += 1
-            continue
-        attacked += 1
-        if not ex.effectual:
-            continue
-        sample_id = f"{i:05d}"
-        ext = "pgm" if img.planes == 1 else "ppm"
-        (out / f"{sample_id}_orig.{ext}").write_bytes(write_pgm_ppm(ex.original))
-        (out / f"{sample_id}_adv.{ext}").write_bytes(write_pgm_ppm(ex.adversarial))
-        rows.append((sample_id, ex.original_label, ex.adversarial_label))
+    for chunk in _chunks(range(len(images)), lambda i: images[i].pixels.size):
+        crafted = _fgsm(model, [images[i] for i in chunk], config)
+        for i, original_label, adv, adversarial_label in zip(chunk, *crafted):
+            if labels is not None and original_label != int(labels[i]):
+                skipped += 1
+                continue
+            attacked += 1
+            if adversarial_label == original_label:
+                continue
+            img, sample_id = images[i], f"{i:05d}"
+            ext = "pgm" if img.planes == 1 else "ppm"
+            (out / f"{sample_id}_orig.{ext}").write_bytes(write_pgm_ppm(img))
+            (out / f"{sample_id}_adv.{ext}").write_bytes(write_pgm_ppm(Image(adv.reshape(img.pixels.shape))))
+            rows.append((sample_id, original_label, adversarial_label))
     with open(out / MANIFEST_NAME, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MANIFEST_HEADER)

@@ -14,13 +14,10 @@ import numpy as np
 
 from .denoise import _filter
 from .entropy import DenoiseStrategy, _profiles, select_strategy
-from .image import FormatError, Image, read_pgm_ppm
+from .image import FormatError, Image, _chunks, read_pgm_ppm
 
 REPORT_HEADER = ("id", "kind", "original_label", "denoised_label", "flagged", "h2d", "intervals", "smoothed")
 SUMMARY_HEADER = ("tp", "fn", "fp", "tn", "recall", "precision")
-# A batch ends at 512 images or 1 MiB of pixels, whichever comes first (512
-# digits, or 6 images of 224x224x3), so its float rows stay below 15 MB.
-_BATCH_IMAGES, _BATCH_BYTES = 512, 2**20
 
 
 class CorpusError(RuntimeError):
@@ -67,20 +64,6 @@ class EvaluationResult:
     @property
     def ok(self):
         return not self.corpus_errors and not self.classifier_errors
-
-
-def _chunks(items, nbytes):
-    """Consecutive runs of items within _BATCH_IMAGES items and _BATCH_BYTES bytes; a larger item runs alone."""
-    chunk, total = [], 0
-    for item in items:
-        size = nbytes(item)
-        if chunk and (len(chunk) == _BATCH_IMAGES or total + size > _BATCH_BYTES):
-            yield chunk
-            chunk, total = [], 0
-        chunk.append(item)
-        total += size
-    if chunk:
-        yield chunk
 
 
 def _denoise(images):

@@ -18,6 +18,10 @@ _GZIP_MAGIC = b"\x1f\x8b"
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
+# A batch ends at 512 images or 1 MiB of pixels, whichever comes first (512
+# digits, or 6 images of 224x224x3), so its float rows stay below 15 MB.
+_BATCH_IMAGES, _BATCH_BYTES = 512, 2**20
+
 
 class FormatError(ValueError):
     """A byte stream violates the PGM/PPM or IDX format."""
@@ -86,6 +90,20 @@ class FloatImage(_Pixels):
         arr = self.pixels
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("values must lie in [0.0, 1.0]")
+
+
+def _chunks(items, nbytes):
+    """Consecutive runs of items within _BATCH_IMAGES items and _BATCH_BYTES bytes; a larger item runs alone."""
+    chunk, total = [], 0
+    for item in items:
+        size = nbytes(item)
+        if chunk and (len(chunk) == _BATCH_IMAGES or total + size > _BATCH_BYTES):
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += size
+    if chunk:
+        yield chunk
 
 
 def to_float(img):

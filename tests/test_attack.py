@@ -42,6 +42,21 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="variant"):
             ag.AttackConfig(variant="pgd")
 
+    @pytest.mark.parametrize("fields", [
+        {"target": 1.0}, {"target": True}, {"target": "1"},
+        {"variant": "topk", "k": 2.5}, {"variant": "topk", "k": True}, {"k": 1.0},
+    ], ids=["float-target", "bool-target", "str-target", "float-k", "bool-k", "float-k-full"])
+    def test_non_integer_target_or_k_rejected(self, fields):
+        name = "target" if "target" in fields else "k"
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {fields[name]!r}"):
+            ag.AttackConfig(epsilon=0.2, **fields)
+
+    def test_numpy_integers_accepted(self):
+        config = ag.AttackConfig(variant="topk", k=np.int64(2), target=np.int32(1))
+        model = ag.ClassifierModel(np.ones((16, 4)), np.zeros(4), np.eye(4, 3), np.zeros(3))
+        ex = ag.craft(model, ag.Image(np.arange(16, dtype=np.uint8).reshape(4, 4)), config)
+        assert np.count_nonzero(ex.perturbation) <= 2
+
 
 class TestFgsm:
     def test_zero_gradient_leaves_image_unchanged(self):
@@ -111,6 +126,17 @@ class TestFgsmTopk:
         full = ag.craft(synth_model, img, ag.AttackConfig(epsilon=0.2))
         topk = ag.craft(synth_model, img, ag.AttackConfig(epsilon=0.2, variant="topk", k=64))
         assert full.adversarial == topk.adversarial
+
+    def test_ties_go_to_the_lower_pixel_index(self):
+        # ten pixels share the largest |gradient| exactly: their first-layer rows
+        # are twice everyone else's, a power of two, so the products stay exact
+        strong = [8, 23, 37, 40, 42, 48, 53, 54, 56, 63]
+        w1 = np.tile(np.random.default_rng(0).normal(size=(1, 8)), (64, 1))
+        w1[strong] *= 2.0
+        model = ag.ClassifierModel(w1, np.ones(8), np.random.default_rng(1).normal(size=(8, 3)), np.zeros(3))
+        img = ag.Image(np.full((8, 8), 128, dtype=np.uint8))
+        ex = ag.craft(model, img, ag.AttackConfig(epsilon=0.2, variant="topk", k=5))
+        assert np.flatnonzero(ex.perturbation).tolist() == strong[:5]
 
     def test_k_above_pixel_count_rejected(self, synth_model, synth_data):
         config = ag.AttackConfig(epsilon=0.2, variant="topk", k=65)
@@ -196,6 +222,19 @@ class TestCorpus:
         assert summary.attacked == expected_attacked
         assert summary.skipped == 10 - expected_attacked
 
+    @pytest.mark.parametrize("fields, size, message", [
+        ({"target": 4}, 8, "class index 4 out of range 0..3"),
+        ({"target": -1}, 8, "class index -1 out of range 0..3"),
+        ({"variant": "topk", "k": 65}, 8, "k=65 exceeds pixel count 64"),
+        ({}, 7, "input has 49 values, model expects 64"),
+    ], ids=["target-high", "target-low", "k-above-pixels", "image-size"])
+    def test_attack_errors_raised_before_writing(self, synth_model, synth_data, tmp_path, fields, size, message):
+        images = synth_data[0][:10] + template_digits(1, size=size, classes=4)[0]
+        with pytest.raises(ValueError, match=message):
+            ag.build_attack_corpus(synth_model, images, None, ag.AttackConfig(epsilon=0.3, **fields),
+                                   tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("n_labels", [9, 11])
     def test_misaligned_labels_rejected_before_writing(self, synth_model, synth_data, tmp_path, n_labels):
         images, labels = synth_data
@@ -203,3 +242,73 @@ class TestCorpus:
             ag.build_attack_corpus(synth_model, images[:10], labels[:n_labels],
                                    ag.AttackConfig(epsilon=0.3), tmp_path / "c")
         assert not (tmp_path / "c").exists()
+
+
+def serial_corpus(model, images, labels, config):
+    """A corpus by one image at a time: (attacked, skipped, manifest rows, {file name: bytes})."""
+    attacked = skipped = 0
+    rows, files = [], {}
+    for i, img in enumerate(images):
+        xf = ag.to_float(img)
+        original = ag.forward(model, xf).label()
+        if labels is not None and original != labels[i]:
+            skipped += 1
+            continue
+        attacked += 1
+        grad = ag.input_gradient(model, xf, original if config.target is None else config.target)
+        step = config.epsilon * np.sign(grad)
+        if config.variant == "topk":
+            keep = np.zeros(grad.size, dtype=bool)
+            keep[np.argsort(-np.abs(grad).ravel(), kind="stable")[:config.k]] = True
+            step = step * keep.reshape(grad.shape)
+        adv = ag.to_bytes(ag.FloatImage(np.clip(xf.pixels + step, 0.0, 1.0)))
+        adversarial = ag.forward(model, adv).label()
+        if adversarial != original:
+            sample_id, ext = f"{i:05d}", "pgm" if img.planes == 1 else "ppm"
+            files[f"{sample_id}_orig.{ext}"] = ag.write_pgm_ppm(img)
+            files[f"{sample_id}_adv.{ext}"] = ag.write_pgm_ppm(adv)
+            rows.append([sample_id, str(original), str(adversarial)])
+    return attacked, skipped, rows, files
+
+
+def rgb_digits(n, seed):
+    """Three differently laid out copies of each 8x8 digit, as one 8x8x3 image."""
+    images, labels = template_digits(n, seed=seed, size=8, classes=4, noise=40.0)
+    return [ag.Image(np.stack([im.pixels[:, :, 0], im.pixels[::-1, :, 0], im.pixels[:, :, 0].T], axis=2))
+            for im in images], labels
+
+
+class TestBatchedAgainstSerial:
+    """build_attack_corpus, which crafts in batches, against a per-image reference loop."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, synth_model):
+        big = template_digits(600, seed=21, size=8, classes=4, noise=60.0)  # more than one 512-image chunk
+        mixed_x, mixed_y = template_digits(40, seed=22, size=8, classes=4, noise=60.0)
+        mixed = [ag.Image(im.pixels.reshape((4, 16) if i % 2 else (16, 4))) for i, im in enumerate(mixed_x)]
+        rgb_x, rgb_y = rgb_digits(200, seed=23)
+        rgb_model = ag.train(rgb_x, rgb_y, ag.TrainConfig(epochs=6, batch_size=16, learning_rate=0.2, seed=3),
+                             hidden=16, classes=4)
+        return {"big": (synth_model, *big), "mixed-shapes": (synth_model, mixed, mixed_y),
+                "rgb": (rgb_model, *rgb_digits(60, seed=24))}
+
+    @pytest.mark.parametrize("config", [
+        ag.AttackConfig(epsilon=0.3),
+        ag.AttackConfig(epsilon=0.5, variant="topk", k=50),
+        ag.AttackConfig(epsilon=0.3, target=2),
+        ag.AttackConfig(epsilon=0.5, variant="topk", k=50, target=1),
+    ], ids=["full", "topk", "target", "topk-target"])
+    @pytest.mark.parametrize("kind", ["big", "mixed-shapes", "rgb"])
+    def test_same_corpus(self, inputs, kind, config, tmp_path):
+        model, images, labels = inputs[kind]
+        labels = [(y + 1) % 4 if i % 7 == 0 else y for i, y in enumerate(labels)]  # some get skipped
+        attacked, skipped, rows, files = serial_corpus(model, images, labels, config)
+        assert attacked and skipped and rows  # premise: the set exercises every branch
+        summary = ag.build_attack_corpus(model, images, labels, config, tmp_path)
+        with open(tmp_path / "manifest.csv", newline="") as f:
+            manifest = list(csv.reader(f))
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "manifest.csv"}
+        assert (summary.attacked, summary.skipped, summary.effectual) == (attacked, skipped, len(rows))
+        assert manifest == [["id", "original_label", "adversarial_label"]] + rows
+        assert [list(map(str, row)) for row in summary.manifest] == rows
+        assert written == files

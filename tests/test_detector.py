@@ -5,7 +5,7 @@ import pytest
 
 import advguard as ag
 import oracles
-from advguard import detector, entropy
+from advguard import entropy, image
 from synth import template_digits
 
 
@@ -201,8 +201,8 @@ class TestDetectBatch:
     def test_bounded_batches_give_the_same_verdicts(self, monkeypatch):
         images = mixed_stack(4, count=30)
         whole = ag.detect_batch(Recorder(4), images)
-        monkeypatch.setattr(detector, "_BATCH_IMAGES", 4)
-        monkeypatch.setattr(detector, "_BATCH_BYTES", 3000)  # two 39x39x3 images do not fit
+        monkeypatch.setattr(image, "_BATCH_IMAGES", 4)
+        monkeypatch.setattr(image, "_BATCH_BYTES", 3000)  # two 39x39x3 images do not fit
         classify = Recorder(4)
         parts = ag.detect_batch(classify, images)
         assert max(len(b) for b in classify.batches) <= 2 * 4
