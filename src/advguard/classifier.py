@@ -30,6 +30,27 @@ class _TimedOut(ExternalClassifierError):
     """The external classifier command ran past its timeout."""
 
 
+def _check_confidences(P, tol):
+    """Raise the ValueError of the first row of the (n, k) matrix P that is not a prediction vector.
+
+    A row is one when it is non-empty, finite and nonnegative, and sums to 1
+    within tol. The whole matrix is checked at once: a NaN fails both
+    comparisons, and a +inf makes its row's sum infinite.
+    """
+    if P.shape[1] == 0:
+        raise ValueError("prediction vector is empty")
+    with np.errstate(over="ignore"):  # finite values too large to add: an infinite sum, named below
+        total = P.sum(axis=1)
+    off = np.abs(total - 1.0)
+    if P.min() >= 0 and off.max() <= tol:
+        return
+    for row, row_total, row_off in zip(P, total, off):
+        if not np.all(np.isfinite(row)) or np.any(row < 0):
+            raise ValueError("confidences must be finite and nonnegative")
+        if row_off > tol:
+            raise ValueError(f"confidences sum to {float(row_total):.6f}, expected 1 within {tol}")
+
+
 class PredictionVector:
     """Per-class confidences; the label is the argmax, lowest index on ties."""
 
@@ -37,14 +58,19 @@ class PredictionVector:
 
     def __init__(self, confidences, tol=1e-6):
         arr = np.asarray(confidences, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise ValueError("prediction vector is empty")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("confidences must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"confidences sum to {total:.6f}, expected 1 within {tol}")
+        _check_confidences(arr[None], tol)
         self.confidences = arr
+
+    @classmethod
+    def _batch(cls, P, tol=1e-6):
+        """One PredictionVector per row of an (n, k) float64 matrix, all checked at once."""
+        _check_confidences(P, tol)
+        vectors = []
+        for row in P:
+            vector = object.__new__(cls)
+            vector.confidences = row
+            vectors.append(vector)
+        return vectors
 
     def label(self):
         return int(np.argmax(self.confidences))
@@ -148,11 +174,13 @@ def _forward(model, X):
     """The network on an (n, d) batch: hidden pre-activations, activations, softmax rows."""
     if X.shape[1] != model.input_size:
         raise ValueError(f"dimension mismatch: input has {X.shape[1]} values, model expects {model.input_size}")
-    z1 = X @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ model.w2 + model.b2
-    e = np.exp(z2 - z2.max(axis=1, keepdims=True))
-    return z1, a1, e / e.sum(axis=1, keepdims=True)
+    # weights that overflow give NaN rows, which PredictionVector names; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = X @ model.w1 + model.b1
+        a1 = np.maximum(z1, 0.0)
+        z2 = a1 @ model.w2 + model.b2
+        e = np.exp(z2 - z2.max(axis=1, keepdims=True))
+        return z1, a1, e / e.sum(axis=1, keepdims=True)
 
 
 def _hidden_gradient(model, z1, g2):
@@ -316,7 +344,7 @@ class ModelClassifier:
 
     def batch(self, images):
         """Classify same-size Images with one forward pass over all their rows."""
-        return [PredictionVector(p) for p in _forward(self.model, _floats(_rows(images)))[2]]
+        return PredictionVector._batch(_forward(self.model, _floats(_rows(images)))[2])
 
 
 class ExternalClassifier:

@@ -6,6 +6,9 @@ files as positives and their originals as benign negatives.
 """
 
 import csv
+import errno
+import os
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,26 +172,51 @@ def _read_manifest(corpus_dir):
     if len(rows) == 1:
         raise CorpusError(f"empty corpus: manifest in {corpus_dir} has no samples")
     for line, row in enumerate(rows[1:], start=2):
-        # ids name files through _find_sample, so each must be a plain file-name stem
+        # ids name files through _read_sample, so each must be a plain file-name stem
         if len(row) != 3 or row[0] in ("", ".", "..") or any(c in row[0] for c in "/\\\0"):
             raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} is {row!r}")
     return [row[0] for row in rows[1:]]
 
 
-def _find_sample(corpus_dir, sample_id, suffix):
+# open errors on names that Path.is_file() calls no file: missing, under a non-directory, a link loop, a socket
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO)
+# O_NONBLOCK exists only on POSIX, O_BINARY (no newline translation) only on Windows
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _read_sample(corpus_dir, sample_id, suffix):
+    """The bytes of <id>_<suffix>.pgm, else of the .ppm; FileNotFoundError naming the .pgm if neither is a file.
+
+    One open and one fstat per name. O_NONBLOCK lets a FIFO open without a
+    writer, so it is passed over like a directory instead of waiting forever.
+    """
     for ext in ("pgm", "ppm"):
-        path = Path(corpus_dir) / f"{sample_id}_{suffix}.{ext}"
-        if path.is_file():
-            return path
+        try:
+            fd = os.open(os.path.join(corpus_dir, f"{sample_id}_{suffix}.{ext}"), _OPEN_FLAGS)
+        except OSError as e:
+            if e.errno in _NOT_A_FILE:
+                continue
+            raise
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                parts, left = [], info.st_size
+                while left and (part := os.read(fd, left)):  # one read unless the file is over 2 GiB
+                    parts.append(part)
+                    left -= len(part)
+                return b"".join(parts)
+        finally:
+            os.close(fd)
     raise FileNotFoundError(f"{sample_id}_{suffix}.pgm")
 
 
 def _read_samples(corpus_dir, ids, errors):
     """(kind, sample id, Image) per readable corpus file in manifest order; read failures go to `errors`."""
+    corpus_dir = str(Path(corpus_dir))  # an OSError names the file as pathlib spells it
     for sample_id in ids:
         for kind, suffix in (("original", "orig"), ("adversarial", "adv")):
             try:
-                img = read_pgm_ppm(_find_sample(corpus_dir, sample_id, suffix).read_bytes())
+                img = read_pgm_ppm(_read_sample(corpus_dir, sample_id, suffix))
             except (OSError, FormatError) as e:
                 errors.append(f"{sample_id} ({kind}): {e}")
                 continue

@@ -6,6 +6,7 @@ image is denoised: high-entropy images get a fine quantizer plus
 smoothing, low-entropy ones an aggressive two-interval quantizer.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +164,11 @@ def select_strategy(profile):
 
     Above 9.50 bits: 6 intervals with smoothing; 8.50 through 9.50
     inclusive: 4 intervals; below 8.50: 2 intervals. Accepts an
-    EntropyProfile or a bare entropy value.
+    EntropyProfile or a bare entropy value, which must be finite.
     """
     h = profile.h2d if isinstance(profile, EntropyProfile) else float(profile)
+    if not math.isfinite(h):
+        raise ValueError(f"entropy must be finite, got {h}")
     if h > 9.50:
         return DenoiseStrategy(6, True)
     if h >= 8.50:

@@ -2,12 +2,16 @@ import math
 import stat
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
+from advguard import classifier
 
 
 def random_model(rng, d=6, h=5, n=3, scale=0.5):
@@ -17,6 +21,11 @@ def random_model(rng, d=6, h=5, n=3, scale=0.5):
         rng.uniform(-scale, scale, (h, n)),
         rng.uniform(-scale, scale, n),
     )
+
+
+def overflowing_model(d=4, h=3, n=5):
+    """Every weight 1e308: a black image gives a uniform softmax, any brighter one NaN rows."""
+    return ag.ClassifierModel(np.zeros((d, h)) + 1e308, np.zeros(h), np.zeros((h, n)) + 1e308, np.zeros(n))
 
 
 def zero_model(d=4, h=3, n=10):
@@ -276,6 +285,51 @@ class TestBatch:
         preds = ag.ModelClassifier(model).batch(images)
         assert [p.label() for p in preds] == [ag.forward(model, img).label() for img in images]
         assert len({p.label() for p in preds}) > 1
+
+    def test_rows_are_the_forward_softmax_rows(self):
+        rng = np.random.default_rng(10)
+        model = random_model(rng, scale=2.0)
+        images = [ag.Image(rng.integers(0, 256, size=(3, 2)).astype(np.uint8)) for _ in range(40)]
+        softmax = classifier._forward(model, classifier._floats(classifier._rows(images)))[2]
+        preds = ag.ModelClassifier(model).batch(images)
+        assert len(preds) == len(softmax)
+        for p, row in zip(preds, softmax):
+            assert p.confidences.tobytes() == row.tobytes()
+            assert p.label() == int(np.argmax(row))
+
+    def test_non_finite_row_raises_the_single_image_error_and_no_warning(self):
+        classify = ag.ModelClassifier(overflowing_model())
+        dark, bright = (ag.Image(np.full((2, 2), v, dtype=np.uint8)) for v in (0, 255))
+        assert classify.batch([dark, dark])[0].label() == 0  # a black image stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead
+            with pytest.raises(ValueError) as single:
+                classify(bright)
+            with pytest.raises(ValueError) as batched:
+                classify.batch([dark, bright, dark])
+        assert str(batched.value) == str(single.value) == "confidences must be finite and nonnegative"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -0.5, 1e308, math.inf, math.nan]),
+                             min_size=2, max_size=2), min_size=1, max_size=4),
+           st.sampled_from([1e-6, 1e-3]))
+    def test_batch_check_is_the_first_failing_rows_check(self, rows, tol):
+        matrix = np.array(rows)
+        errors = []
+        for row in rows:
+            try:
+                ag.PredictionVector(row, tol=tol)
+            except ValueError as e:
+                errors.append(str(e))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if errors:
+                with pytest.raises(ValueError) as batched:
+                    ag.PredictionVector._batch(matrix, tol=tol)
+                assert str(batched.value) == errors[0]
+            else:
+                vectors = ag.PredictionVector._batch(matrix, tol=tol)
+                assert [v.confidences.tolist() for v in vectors] == rows
 
 
 class TestModelFile:

@@ -1,9 +1,12 @@
 import gzip
 import hashlib
+import os
 import re
 import struct
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +169,18 @@ class TestDetectCommand:
         path.write_bytes(ag.write_pgm_ppm(ag.Image(np.zeros((4, 4), dtype=np.uint8))))
         assert main(["detect", str(path)]) == 2
         assert main(["detect", "--model", "m", "--external", "cmd", str(path)]) == 2
+
+    def test_overflowing_model_prints_only_the_error(self, tmp_path):
+        model = tmp_path / "model.bin"
+        ag.save_model(ag.ClassifierModel(np.zeros((16, 3)) + 1e308, np.zeros(3),
+                                         np.zeros((3, 5)) + 1e308, np.zeros(5)), model)
+        path = tmp_path / "bright.pgm"
+        path.write_bytes(ag.write_pgm_ppm(ag.Image(np.full((4, 4), 255, dtype=np.uint8))))
+        src = str(Path(ag.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "advguard.cli", "detect", "--model", str(model), str(path)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 4
+        assert proc.stderr == f"error: sample {path}: confidences must be finite and nonnegative\n"
 
     def test_external_classifier(self, tmp_path, capsys):
         stub = tmp_path / "stub.py"

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -31,15 +32,15 @@ def flat_image(corner, fill=0, size=8):
     return ag.Image(px)
 
 
-def write_corpus(tmp_path, pairs):
+def write_corpus(tmp_path, pairs, ext="pgm"):
     """pairs: list of (orig Image, adv Image); returns the corpus directory."""
     out = tmp_path / "corpus"
     out.mkdir()
     rows = []
     for i, (orig, adv) in enumerate(pairs):
         sample_id = f"{i:05d}"
-        (out / f"{sample_id}_orig.pgm").write_bytes(ag.write_pgm_ppm(orig))
-        (out / f"{sample_id}_adv.pgm").write_bytes(ag.write_pgm_ppm(adv))
+        (out / f"{sample_id}_orig.{ext}").write_bytes(ag.write_pgm_ppm(orig))
+        (out / f"{sample_id}_adv.{ext}").write_bytes(ag.write_pgm_ppm(adv))
         rows.append((sample_id, 0, 1))
     with open(out / "manifest.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -268,10 +269,42 @@ class TestEvaluate:
         corpus = write_corpus(tmp_path, [(flat_image(200), flat_image(110)) for _ in range(3)])
         (corpus / "00001_adv.pgm").unlink()
         result = ag.evaluate(threshold_classifier, corpus)
-        assert len(result.corpus_errors) == 1
-        assert "00001" in result.corpus_errors[0]
+        assert result.corpus_errors == ["00001 (adversarial): 00001_adv.pgm"]
         assert not result.ok
         assert result.stats.tp + result.stats.fn == 2  # the remaining adversarial files
+
+    def test_rgb_ppm_corpus_evaluates_like_detect(self, tmp_path):
+        rng = np.random.default_rng(12)
+        pairs = [tuple(ag.Image(rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8)) for _ in range(2))
+                 for _ in range(3)]
+        result = ag.evaluate(threshold_classifier, write_corpus(tmp_path, pairs, ext="ppm"))
+        assert result.ok
+        expected = [ag.detect(threshold_classifier, img, f"{i:05d}") for i, pair in enumerate(pairs) for img in pair]
+        assert [(v.sample_id, v.original_label, v.denoised_label, v.h2d, v.strategy) for _, v in result.verdicts] == [
+            (v.sample_id, v.original_label, v.denoised_label, v.h2d, v.strategy) for v in expected]
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: os.mkfifo(path),
+        lambda path: path.symlink_to(os.devnull),
+        lambda path: path.symlink_to(path.name),  # a symlink loop
+        lambda path: path.symlink_to("nowhere.pgm"),
+    ], ids=["directory", "fifo", "device-link", "link-loop", "dangling-link"])
+    def test_non_file_entry_is_a_missing_sample(self, tmp_path, make):
+        corpus = write_corpus(tmp_path, [(flat_image(200), flat_image(110)) for _ in range(2)])
+        (corpus / "00000_orig.pgm").unlink()
+        make(corpus / "00000_orig.pgm")  # a FIFO must not wait for a writer
+        result = ag.evaluate(threshold_classifier, corpus)
+        assert result.corpus_errors == ["00000 (original): 00000_orig.pgm"]
+        assert [(kind, v.sample_id) for kind, v in result.verdicts] == [
+            ("adversarial", "00000"), ("original", "00001"), ("adversarial", "00001")]
+
+    def test_ppm_read_when_pgm_is_not_a_file(self, tmp_path):
+        corpus = write_corpus(tmp_path, [(flat_image(120), flat_image(110))])
+        (corpus / "00000_orig.pgm").rename(corpus / "00000_orig.ppm")
+        (corpus / "00000_orig.pgm").mkdir()
+        result = ag.evaluate(threshold_classifier, corpus)
+        assert result.ok and [v.original_label for _, v in result.verdicts] == [1, 1]
 
     def test_corrupt_file_enumerated(self, tmp_path):
         corpus = write_corpus(tmp_path, [(flat_image(200), flat_image(110))])

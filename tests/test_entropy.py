@@ -149,6 +149,13 @@ class TestSelectStrategy:
     def test_constant_image_gets_two_intervals(self):
         assert ag.select_strategy(0.0) == ag.DenoiseStrategy(2, False)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entropy_rejected(self, h):
+        with pytest.raises(ValueError, match="entropy must be finite"):
+            ag.select_strategy(h)
+        with pytest.raises(ValueError, match="entropy must be finite"):
+            ag.select_strategy(ag.EntropyProfile(h, (h,)))
+
     def test_accepts_profile(self):
         profile = ag.entropy_2d(ag.Image(np.zeros((4, 4), dtype=np.uint8)))
         assert ag.select_strategy(profile).intervals == 2
