@@ -57,9 +57,7 @@ from .detector import (
 from .entropy import (
     DenoiseStrategy,
     EntropyProfile,
-    JointHistogram,
     entropy_2d,
-    joint_histogram,
     neighborhood_average,
     select_strategy,
 )

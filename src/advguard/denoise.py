@@ -85,7 +85,7 @@ def _table(q):
 
 def quantize(img, q):
     """Replace every pixel with its interval's codeword via a 256-entry table."""
-    return Image(_table(q)[img.pixels])
+    return Image(_table(q).take(img.pixels))
 
 
 _CROSS = np.zeros((5, 5), dtype=np.int64)
@@ -131,7 +131,7 @@ def _filter(pixels, strategy):
     Every stage works per plane or per pixel, so K may hold the planes of
     many images side by side.
     """
-    quantized = _table(make_quantizer(strategy.intervals))[pixels]
+    quantized = _table(make_quantizer(strategy.intervals)).take(pixels)
     if not strategy.smooth:
         return quantized, None, quantized
     smoothed = _stencil(quantized, _CROSS)

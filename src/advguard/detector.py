@@ -98,9 +98,14 @@ def _label_pairs(classify, raw, denoised):
                 pairs.append(e)
         return pairs
     try:
-        labels = [p.label() for p in batch(raw + denoised)]
-        if len(labels) != 2 * len(raw):
-            raise ValueError(f"batch returned {len(labels)} predictions for {2 * len(raw)} images")
+        predictions = list(batch(raw + denoised))
+        if len(predictions) != 2 * len(raw):
+            raise ValueError(f"batch returned {len(predictions)} predictions for {2 * len(raw)} images")
+        rows = [p.confidences for p in predictions]
+        if len({row.size for row in rows}) == 1:  # one argmax over the stacked rows, lowest index on ties
+            labels = np.argmax(np.array(rows), axis=1).tolist()
+        else:
+            labels = [p.label() for p in predictions]
     except Exception as e:
         return [e] * len(raw)
     return list(zip(labels[:len(raw)], labels[len(raw):]))

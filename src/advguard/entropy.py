@@ -28,14 +28,6 @@ class DenoiseStrategy:
             raise ValueError("smoothing is applied exactly when intervals == 6")
 
 
-@dataclass(eq=False)
-class JointHistogram:
-    """256x256 counts indexed by (pixel value, rounded neighborhood average)."""
-
-    counts: np.ndarray
-    total: int
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
     """2-D entropy in bits; for RGB, h2d averages the three plane entropies."""
@@ -119,36 +111,35 @@ def neighborhood_average(plane):
     return Image(avg) if isinstance(plane, Image) else avg
 
 
-def _pair_codes(pixels):
-    """(plane * 256 + value) * 256 + neighborhood average, per pixel of an (H, W, K) uint8 array."""
-    planes = np.arange(pixels.shape[2], dtype=np.uint32)
-    return (planes * 256 + pixels) * 256 + _stencil(pixels, _BOX)
-
-
-def joint_histogram(plane):
-    """Count (pixel value, neighborhood average) pairs over one plane."""
-    arr = _plane_array(plane)
-    counts = np.bincount(_pair_codes(arr[:, :, None]).ravel(), minlength=65536)
-    return JointHistogram(counts.reshape(256, 256), int(arr.size))
-
-
 def _profiles(stack, planes):
     """Entropy profiles of the images laid side by side in an (H, W, N * planes) uint8 stack.
 
-    Each run of equal sorted pair codes is one nonzero cell of a plane's
-    joint histogram, and the runs come in ascending cell order, so every
-    plane's p * log2(p) terms are summed in the same order as over its
-    histogram's nonzero cells.
+    Each pixel becomes the 16-bit code value << 8 | neighborhood average.
+    The codes are laid out plane-major, one row of H * W per plane, and
+    each row is sorted, so each run of equal codes is one nonzero cell of
+    that plane's joint histogram and the runs come in ascending (value,
+    average) order. Summation-order contract: a plane's entropy is
+    -(sum of p * log2(p) over its cells) + 0.0, summed one term at a time
+    from 0.0 in that ascending cell order, with p = count / (H * W) in
+    float64; +0.0 turns -0.0 into 0.0.
     """
     h, w, depth = stack.shape
-    codes = np.sort(_pair_codes(stack), axis=None)
+    codes = np.left_shift(stack, 8, dtype=np.uint16)
+    codes |= _stencil(stack, _BOX)
+    codes = np.ascontiguousarray(codes.reshape(h * w, depth).T)
+    codes.sort(axis=1)
+    codes = codes.ravel()
     edges = np.empty(codes.size + 1, dtype=bool)  # run boundaries, both ends included
     edges[0] = edges[-1] = True
     np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    edges[::h * w] = True  # a plane's last run ends at its row's end
     bounds = np.flatnonzero(edges)
-    p = (bounds[1:] - bounds[:-1]) / (h * w)
-    # plane k owns codes [k * 65536, (k + 1) * 65536); +0.0 normalizes -0.0
-    per = -np.bincount(codes[bounds[:-1]] >> 16, weights=p * np.log2(p), minlength=depth) + 0.0
+    counts = bounds[1:] - bounds[:-1]
+    # p * log2(p) for each count up to the largest: per run, the same float64 operations on the same value
+    p = np.arange(1, counts.max() + 1) / (h * w)
+    terms = (p * np.log2(p)).take(counts - 1)
+    # np.bincount adds each plane's weights one by one in input order, which is ascending cell order
+    per = -np.bincount(bounds[:-1] // (h * w), weights=terms, minlength=depth) + 0.0
     per = per.reshape(-1, planes)
     # a row of at most 3 floats sums in order, as np.mean over one image's planes does
     return [EntropyProfile(h2d, tuple(row)) for h2d, row in zip(per.mean(axis=1).tolist(), per.tolist())]

@@ -54,6 +54,19 @@ class TestQuantizer:
         assert denoise._table(q) is denoise._table(ag.Quantizer(4, q.codebook))
         assert not denoise._table(q).flags.writeable
 
+    def test_non_uniform_codebook(self):
+        # uneven intervals whose codewords are not their lower bounds, one of them a single value
+        codebook = ((0, 9, 7), (10, 10, 200), (11, 139, 11), (140, 254, 254), (255, 255, 0))
+        q = ag.Quantizer(5, codebook)
+        rng = np.random.default_rng(13)
+        every_value = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        for px in (every_value, rng.integers(0, 256, size=(7, 5, 3)).astype(np.uint8)):
+            img = ag.Image(px)
+            expected = [next(code for lo, hi, code in codebook if lo <= v <= hi) for v in px.ravel().tolist()]
+            out = ag.quantize(img, q).pixels
+            assert out.dtype == np.uint8 and out.shape == img.pixels.shape
+            assert out.ravel().tolist() == expected
+
     def test_codeword_constant_unchanged(self):
         img = ag.Image(np.full((4, 4), 200, dtype=np.uint8))
         assert ag.quantize(img, ag.make_quantizer(6)) == img

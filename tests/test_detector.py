@@ -199,6 +199,18 @@ class TestDetectBatch:
         (result,) = ag.detect_batch(Short(), [flat_image(10)], ["a"])
         assert str(result) == "sample a: batch returned 1 predictions for 2 images"
 
+    @pytest.mark.parametrize("denoised_length", [3, 2], ids=["same-length", "ragged"])
+    def test_batch_labels_per_row_lowest_index_on_ties(self, denoised_length):
+        class Fixed:
+            def batch(self, images):
+                pad = [0.0] * (denoised_length - 2)
+                rows = [[0.2, 0.4, 0.4], [0.6, 0.2, 0.2], [0.5, 0.5] + pad, [0.1, 0.9] + pad]
+                return [ag.PredictionVector(row) for row in rows]
+
+        results = ag.detect_batch(Fixed(), [flat_image(10), flat_image(20)])
+        assert [(v.original_label, v.denoised_label, v.adversarial) for v in results] == [
+            (1, 0, True), (0, 1, True)]
+
     def test_bounded_batches_give_the_same_verdicts(self, monkeypatch):
         images = mixed_stack(4, count=30)
         whole = ag.detect_batch(Recorder(4), images)

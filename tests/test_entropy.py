@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
+from advguard.entropy import _profiles
 
 
 def random_plane(rng, max_side=16):
@@ -54,31 +55,8 @@ class TestNeighborhoodAverage:
         (np.zeros((2, 2)), "integer"),
     ])
     def test_plane_arrays_checked_as_images(self, plane, message):
-        for fn in (ag.neighborhood_average, ag.joint_histogram):
-            with pytest.raises(ValueError, match=message):
-                fn(plane)
-
-
-class TestJointHistogram:
-    def test_constant_plane(self):
-        hist = ag.joint_histogram(np.full((3, 5), 42, dtype=np.uint8))
-        assert hist.total == 15
-        assert hist.counts[42, 42] == 15
-        assert hist.counts.sum() == 15
-
-    def test_single_pixel_pairs_with_itself(self):
-        hist = ag.joint_histogram(np.array([[200]], dtype=np.uint8))
-        assert hist.counts[200, 200] == 1 and hist.total == 1
-
-    def test_matches_pair_counting_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            plane = random_plane(rng, max_side=8)
-            hist = ag.joint_histogram(plane)
-            expected = oracles.pair_counts(plane.tolist())
-            assert hist.total == plane.size
-            nonzero = {(int(i), int(j)): int(hist.counts[i, j]) for i, j in zip(*np.nonzero(hist.counts))}
-            assert nonzero == expected
+        with pytest.raises(ValueError, match=message):
+            ag.neighborhood_average(plane)
 
 
 class TestEntropy2d:
@@ -134,6 +112,48 @@ class TestEntropy2d:
         value = ag.entropy_2d(img).h2d
         assert 0.0 <= value <= 16.0
         assert math.isfinite(value)
+
+
+def ordered_entropy(plane):
+    """A plane's entropy summed as _profiles promises: the oracle's pair cells in ascending order, term by term."""
+    counts = oracles.pair_counts(plane.tolist())
+    assert sum(counts.values()) == plane.size
+    p = np.array([counts[cell] for cell in sorted(counts)]) / plane.size
+    total = 0.0
+    for term in (p * np.log2(p)).tolist():
+        total += term
+    return -total + 0.0
+
+
+def order_cases():
+    rng = np.random.default_rng(53)
+
+    def noise(*shape):
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+
+    two_valued = rng.choice(np.array([3, 250], dtype=np.uint8), size=(9, 7, 3))
+    images = [noise(5, 6, 3), np.full((5, 6, 3), 9, dtype=np.uint8), two_valued[:5, :6]]
+    yield pytest.param(noise(7, 9, 1), 1, id="1-plane")
+    yield pytest.param(noise(6, 5, 3), 3, id="3-plane")
+    yield pytest.param(np.array([[[200]]], dtype=np.uint8), 1, id="1x1")
+    yield pytest.param(np.array([[[0, 128, 255]]], dtype=np.uint8), 3, id="1x1-rgb")
+    yield pytest.param(np.full((3, 5, 1), 42, dtype=np.uint8), 1, id="constant")
+    yield pytest.param(two_valued, 3, id="two-valued")
+    yield pytest.param(np.concatenate(images, axis=2), 3, id="multi-rgb")
+    yield pytest.param(np.concatenate([img[:, :, :1] for img in images], axis=2), 1, id="multi-gray")
+    plane_rng = np.random.default_rng(23)
+    for k in range(10):
+        yield pytest.param(random_plane(plane_rng, max_side=8)[:, :, None], 1, id=f"random-{k}")
+    yield pytest.param(noise(224, 224, 3), 3, id="noise-224x224x3")
+
+
+class TestProfileSummationOrder:
+    @pytest.mark.parametrize("stack, planes", order_cases())
+    def test_per_plane_bits(self, stack, planes):
+        profiles = _profiles(stack, planes)
+        assert len(profiles) == stack.shape[2] // planes
+        got = [x.hex() for profile in profiles for x in profile.per_plane]
+        assert got == [ordered_entropy(stack[:, :, k]).hex() for k in range(stack.shape[2])]
 
 
 class TestSelectStrategy:
