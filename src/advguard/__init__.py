@@ -62,14 +62,11 @@ from .entropy import (
     select_strategy,
 )
 from .image import (
-    FloatImage,
     FormatError,
     Image,
     read_idx_images,
     read_idx_labels,
     read_pgm_ppm,
-    to_bytes,
-    to_float,
     write_pgm_ppm,
 )
 

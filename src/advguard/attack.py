@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _check_class, _floats, _forward, _hidden_gradient, _rows
-from .image import FloatImage, Image, _chunks, to_bytes, write_pgm_ppm
+from .classifier import _bytes, _check_class, _floats, _forward, _hidden_gradient, _rows
+from .image import Image, _chunks, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("id", "original_label", "adversarial_label")
@@ -71,7 +71,8 @@ def _fgsm(model, images, config):
     One forward pass gives every label and softmax row; the loss gradient
     of each row goes back through the hidden layer to the pixels at once.
     Top-k ranks each row by |gradient| with a stable sort, so ties go to
-    the lower pixel index.
+    the lower pixel index. A model that overflows on a row gives it a NaN
+    step, which raises ValueError instead of being committed as bytes.
     """
     X = _floats(_rows(images))
     z1, _, p = _forward(model, X)
@@ -85,7 +86,10 @@ def _fgsm(model, images, config):
         mask = np.zeros(grad.shape, dtype=bool)
         np.put_along_axis(mask, order[:, :config.k], True, axis=1)
         delta = delta * mask
-    adv = to_bytes(FloatImage(np.clip(X + delta, 0.0, 1.0))).pixels[:, :, 0]
+    stepped = np.clip(X + delta, 0.0, 1.0)
+    if np.isnan(stepped).any():  # sign() bounds every step but a NaN one
+        raise ValueError("non-finite FGSM step: the model overflows on this input")
+    adv = _bytes(stepped)
     return original.tolist(), adv, _forward(model, _floats(adv))[2].argmax(axis=1).tolist()
 
 

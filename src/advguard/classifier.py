@@ -7,6 +7,7 @@ off-the-shelf classifier plug into detection unchanged: it must print one
 whitespace-separated confidence per class for the image path it is given.
 """
 
+import math
 import shlex
 import struct
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import FloatImage, Image, write_pgm_ppm
+from .image import Image, write_pgm_ppm
 
 MODEL_MAGIC = b"ADVG"
 MODEL_VERSION = 1
@@ -130,12 +131,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
-        if self.learning_rate <= 0 or self.init_range <= 0:
-            raise ValueError("learning rate and init range must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.learning_rate, self.init_range)):
+            raise ValueError("learning rate and init range must be finite and positive")
 
 
 def _rows(images):
-    """Images/FloatImages/array rows as an (n, d) matrix: uint8 bytes when all are Images, else float64.
+    """Images, or rows of [0, 1] values, as an (n, d) matrix: uint8 bytes when all are Images, else float64.
 
     Bytes take an eighth of the memory; _floats converts them where the
     network needs them, so training holds only one mini-batch as floats.
@@ -147,13 +148,18 @@ def _rows(images):
         return np.array([im.pixels.reshape(-1) for im in images])
     return np.concatenate([  # byte-domain inputs always enter the net as [0, 1]
         _floats(im.pixels.reshape(1, -1)) if isinstance(im, Image)
-        else np.asarray(im.pixels if isinstance(im, FloatImage) else im, dtype=np.float64).reshape(1, -1)
+        else np.asarray(im, dtype=np.float64).reshape(1, -1)
         for im in images])
 
 
 def _floats(X):
     """Rows from _rows in the network's float64 [0, 1] domain: byte rows divided by 255."""
     return X / 255.0 if X.dtype == np.uint8 else X
+
+
+def _bytes(X):
+    """[0, 1] rows committed to uint8, rounding half away from zero; exact inverse of _floats on bytes."""
+    return np.floor(X * 255.0 + 0.5).astype(np.uint8)  # nonnegative, so half away from zero is floor(x + 0.5)
 
 
 def _dataset(images, labels):
@@ -217,11 +223,12 @@ def loss(model, x, c):
 def input_gradient(model, x, c):
     """Exact gradient of the loss with respect to each input pixel.
 
-    The result has the shape of the input (image shape for FloatImage
-    inputs, flat otherwise).
+    The result has the shape of the input: an Image's pixel shape, or the
+    array's own shape, so a flat row gives a flat gradient. It is taken in
+    the [0, 1] domain either way.
     """
     dx = (_gradients(model, x, c)[3] @ model.w1.T)[0]
-    return dx.reshape(x.pixels.shape) if isinstance(x, (FloatImage, Image)) else dx
+    return dx.reshape(x.pixels.shape if isinstance(x, Image) else np.shape(x))
 
 
 def parameter_gradients(model, x, c):
@@ -233,11 +240,11 @@ def parameter_gradients(model, x, c):
 def train(images, labels, config=None, hidden=128, classes=10):
     """Train the network by mini-batch gradient descent on cross-entropy.
 
-    Images may be Images (converted to [0, 1]), FloatImages, or an (n, d)
-    array. The run is a pure function of data and config.seed: weights are
-    initialized uniformly in [-init_range, init_range] and every epoch's
-    shuffle comes from the same seeded generator, so identical inputs give
-    bitwise-identical models.
+    Images may be Images (converted to [0, 1]) or rows of [0, 1] values,
+    such as an (n, d) array. The run is a pure function of data and
+    config.seed: weights are initialized uniformly in [-init_range,
+    init_range] and every epoch's shuffle comes from the same seeded
+    generator, so identical inputs give bitwise-identical models.
     """
     if config is None:
         config = TrainConfig()

@@ -6,8 +6,9 @@ whichever candidate (quantized or smoothed-quantized) stays closer to the
 original intensity. Ties keep the quantized value.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -18,10 +19,36 @@ from .image import Image
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Interval partition of 0..255; codeword is each interval's lower bound."""
+    """Interval partition of 0..255, each interval replaced by its codeword.
+
+    The intervals run in order, without gaps or overlaps, over exactly
+    0..255. ``table``, the 256-entry codeword of every byte, is built here.
+    """
 
     intervals: int
     codebook: tuple  # (lower, upper, codeword) per interval
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.intervals != len(self.codebook):
+            raise ValueError(f"{self.intervals} intervals but {len(self.codebook)} codebook entries")
+        table = np.empty(256, dtype=np.uint8)
+        start = 0
+        for entry in self.codebook:
+            lo, hi, code = entry
+            if not all(isinstance(v, Integral) for v in entry):
+                raise ValueError(f"codebook entry {entry!r} must hold three integers")
+            if lo != start or hi < lo:
+                raise ValueError(f"interval {lo}..{hi} must be non-empty and start at {start}: "
+                                 "intervals run in order over 0..255 without gaps or overlaps")
+            if not 0 <= code <= 255:
+                raise ValueError(f"codeword {code} out of range 0..255")
+            table[lo:hi + 1] = code
+            start = hi + 1
+        if start != 256:
+            raise ValueError(f"intervals must cover 0..255, got 0..{start - 1}")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)  # the dataclass is frozen
 
 
 @dataclass(eq=False)
@@ -73,19 +100,9 @@ def make_quantizer(intervals):
     return Quantizer(intervals, codebook)
 
 
-@lru_cache(maxsize=16)  # a few codebooks in use; custom quantizers must not grow it without bound
-def _table(q):
-    """The 256-entry codeword table of a quantizer, built once per codebook."""
-    table = np.zeros(256, dtype=np.uint8)
-    for lo, hi, code in q.codebook:
-        table[lo:hi + 1] = code
-    table.flags.writeable = False
-    return table
-
-
 def quantize(img, q):
     """Replace every pixel with its interval's codeword via a 256-entry table."""
-    return Image(_table(q).take(img.pixels))
+    return Image(q.table.take(img.pixels))
 
 
 _CROSS = np.zeros((5, 5), dtype=np.int64)
@@ -131,7 +148,7 @@ def _filter(pixels, strategy):
     Every stage works per plane or per pixel, so K may hold the planes of
     many images side by side.
     """
-    quantized = _table(make_quantizer(strategy.intervals)).take(pixels)
+    quantized = make_quantizer(strategy.intervals).table.take(pixels)
     if not strategy.smooth:
         return quantized, None, quantized
     smoothed = _stencil(quantized, _CROSS)

@@ -1,9 +1,8 @@
-"""Image containers, byte/float domain conversion, and binary PGM/PPM/IDX I/O.
+"""The 8-bit image type and binary PGM/PPM/IDX I/O.
 
-Stored images are 8-bit with pixels shaped ``(height, width, planes)``;
-planes is 1 (grayscale) or 3 (interleaved RGB). The real-valued [0, 1]
-domain exists only for the classifier and attack code. Float-to-byte
-conversion rounds half away from zero everywhere in this package.
+Images are 8-bit with pixels shaped ``(height, width, planes)``; planes is
+1 (grayscale) or 3 (interleaved RGB). The real-valued [0, 1] domain exists
+only as ``(n, d)`` rows inside the classifier and attack code.
 """
 
 import gzip
@@ -27,12 +26,13 @@ class FormatError(ValueError):
     """A byte stream violates the PGM/PPM or IDX format."""
 
 
-class _Pixels:
-    """The shape rules of Image and FloatImage: ``pixels`` is a (height, width, planes) array."""
+class Image:
+    """8-bit image; ``pixels`` is a (height, width, planes) uint8 array."""
 
     __slots__ = ("pixels",)
 
-    def __init__(self, arr):
+    def __init__(self, pixels):
+        arr = np.asarray(pixels)
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
@@ -41,6 +41,12 @@ class _Pixels:
             raise ValueError(f"plane count must be 1 or 3, got {arr.shape[2]}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image dimensions must be at least 1x1, got {arr.shape[0]}x{arr.shape[1]}")
+        if arr.dtype != np.uint8:
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"pixel dtype must be integer, got {arr.dtype}")
+            if arr.min() < 0 or arr.max() > 255:
+                raise ValueError("pixel values must be in [0, 255]")
+            arr = arr.astype(np.uint8)
         self.pixels = arr
 
     @property
@@ -56,40 +62,12 @@ class _Pixels:
         return self.pixels.shape[2]
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.width}x{self.height}, planes={self.planes})"
-
-
-class Image(_Pixels):
-    """8-bit image; ``pixels`` is a (height, width, planes) uint8 array."""
-
-    __slots__ = ()
-
-    def __init__(self, pixels):
-        super().__init__(np.asarray(pixels))
-        arr = self.pixels
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"pixel dtype must be integer, got {arr.dtype}")
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("pixel values must be in [0, 255]")
-            self.pixels = arr.astype(np.uint8)
+        return f"Image({self.width}x{self.height}, planes={self.planes})"
 
     def __eq__(self, other):
         if not isinstance(other, Image):
             return NotImplemented
         return self.pixels.shape == other.pixels.shape and np.array_equal(self.pixels, other.pixels)
-
-
-class FloatImage(_Pixels):
-    """Real-valued image in [0.0, 1.0]; same shape conventions as Image."""
-
-    __slots__ = ()
-
-    def __init__(self, pixels):
-        super().__init__(np.asarray(pixels, dtype=np.float64))
-        arr = self.pixels
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("values must lie in [0.0, 1.0]")
 
 
 def _chunks(items, nbytes):
@@ -104,21 +82,6 @@ def _chunks(items, nbytes):
         total += size
     if chunk:
         yield chunk
-
-
-def to_float(img):
-    """Map byte intensities to [0, 1] by dividing by 255."""
-    return FloatImage(img.pixels / 255.0)
-
-
-def to_bytes(img):
-    """Map [0, 1] values back to bytes, rounding half away from zero.
-
-    Exact inverse of :func:`to_float` on every 8-bit image.
-    """
-    v = img.pixels
-    # values are nonnegative, so half-away-from-zero is floor(x + 0.5)
-    return Image(np.floor(v * 255.0 + 0.5).astype(np.uint8))
 
 
 def _header_tokens(data, count):

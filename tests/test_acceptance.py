@@ -188,7 +188,7 @@ def test_attack_yield(mnist_dataset, tmp_path_factory):
         # every persisted example must flip the label when re-read from disk
         for sample_id, orig_label, adv_label in summary.manifest:
             adv = ag.read_pgm_ppm((out / f"{sample_id}_adv.pgm").read_bytes())
-            reread = ag.forward(model, ag.to_float(adv)).label()
+            reread = ag.forward(model, adv).label()
             assert reread == int(adv_label) and reread != int(orig_label), sample_id
         _shared["corpus"] = out
 

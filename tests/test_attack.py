@@ -23,6 +23,11 @@ def synth_data():
     return template_digits(120, seed=77, size=8, classes=4, noise=25.0)
 
 
+def committed(img, step):
+    """img moved by a [0, 1]-domain step, clipped and stored as bytes rounded half away from zero."""
+    return ag.Image(np.floor(np.clip(img.pixels / 255.0 + step, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8))
+
+
 def zero_gradient_model(d=64, n=4):
     # all-zero first layer: the loss never depends on the input
     return ag.ClassifierModel(np.zeros((d, 8)), np.zeros(8), np.zeros((8, n)), np.zeros(n))
@@ -83,7 +88,7 @@ class TestFgsm:
         for img in synth_data[0][:20]:
             ex = ag.craft(synth_model, img, ag.AttackConfig(epsilon=0.3))
             assert ex.effectual == (ex.adversarial_label != ex.original_label)
-            assert ex.original_label == ag.forward(synth_model, ag.to_float(img)).label()
+            assert ex.original_label == ag.forward(synth_model, img).label()
 
     def test_deterministic(self, synth_model, synth_data):
         img = synth_data[0][3]
@@ -95,7 +100,7 @@ class TestFgsm:
     def test_explicit_target_class(self, synth_model, synth_data):
         img = synth_data[0][5]
         ex = ag.craft(synth_model, img, ag.AttackConfig(epsilon=0.2, target=2))
-        assert ex.original_label == ag.forward(synth_model, ag.to_float(img)).label()
+        assert ex.original_label == ag.forward(synth_model, img).label()
 
     @pytest.mark.parametrize("target", [-1, 4])
     def test_target_out_of_range(self, synth_model, synth_data, target):
@@ -103,15 +108,24 @@ class TestFgsm:
         with pytest.raises(ValueError, match=f"class index {target} out of range 0..3"):
             ag.craft(synth_model, synth_data[0][0], config)
 
+    @pytest.mark.filterwarnings("error")  # the error comes first: numpy does not warn on the way
+    def test_overflowing_model_raises_before_committing_bytes(self, tmp_path):
+        model = ag.ClassifierModel(np.full((64, 8), 1e308), np.zeros(8), np.full((8, 4), 1e308), np.zeros(4))
+        img = ag.Image(np.full((8, 8), 90, dtype=np.uint8))
+        message = "non-finite FGSM step: the model overflows on this input"
+        with pytest.raises(ValueError, match=message):
+            ag.craft(model, img, ag.AttackConfig(epsilon=0.1))
+        with pytest.raises(ValueError, match=message):
+            ag.build_attack_corpus(model, [img] * 3, None, ag.AttackConfig(epsilon=0.1), tmp_path / "c")
+        assert not list((tmp_path / "c").iterdir())
+
     @pytest.mark.parametrize("target", [None, 1])
     def test_moves_along_the_input_gradient_sign(self, synth_model, synth_data, target):
         config = ag.AttackConfig(epsilon=0.2, target=target)
         for img in synth_data[0][:10]:
-            xf = ag.to_float(img)
-            c = ag.forward(synth_model, xf).label() if target is None else target
-            step = config.epsilon * np.sign(ag.input_gradient(synth_model, xf, c))
-            expected = ag.to_bytes(ag.FloatImage(np.clip(xf.pixels + step, 0.0, 1.0)))
-            assert ag.craft(synth_model, img, config).adversarial == expected
+            c = ag.forward(synth_model, img).label() if target is None else target
+            step = config.epsilon * np.sign(ag.input_gradient(synth_model, img, c))
+            assert ag.craft(synth_model, img, config).adversarial == committed(img, step)
 
 
 class TestFgsmTopk:
@@ -207,14 +221,14 @@ class TestCorpus:
         for sample_id, orig_label, adv_label in summary.manifest:
             orig = ag.read_pgm_ppm((out / f"{sample_id}_orig.pgm").read_bytes())
             adv = ag.read_pgm_ppm((out / f"{sample_id}_adv.pgm").read_bytes())
-            assert ag.forward(synth_model, ag.to_float(orig)).label() == int(orig_label)
-            assert ag.forward(synth_model, ag.to_float(adv)).label() == int(adv_label)
+            assert ag.forward(synth_model, orig).label() == int(orig_label)
+            assert ag.forward(synth_model, adv).label() == int(adv_label)
             assert int(orig_label) != int(adv_label)
 
     def test_misclassified_inputs_skipped_with_labels(self, synth_model, synth_data, tmp_path):
         images, labels = synth_data
         wrong = [(y + 1) % 4 for y in labels]  # disagrees wherever the model is right
-        predictions = [ag.forward(synth_model, ag.to_float(im)).label() for im in images[:10]]
+        predictions = [ag.forward(synth_model, im).label() for im in images[:10]]
         expected_attacked = sum(p == w for p, w in zip(predictions, wrong))
         summary = ag.build_attack_corpus(
             synth_model, images[:10], wrong[:10], ag.AttackConfig(epsilon=0.3), tmp_path / "c"
@@ -249,19 +263,18 @@ def serial_corpus(model, images, labels, config):
     attacked = skipped = 0
     rows, files = [], {}
     for i, img in enumerate(images):
-        xf = ag.to_float(img)
-        original = ag.forward(model, xf).label()
+        original = ag.forward(model, img).label()
         if labels is not None and original != labels[i]:
             skipped += 1
             continue
         attacked += 1
-        grad = ag.input_gradient(model, xf, original if config.target is None else config.target)
+        grad = ag.input_gradient(model, img, original if config.target is None else config.target)
         step = config.epsilon * np.sign(grad)
         if config.variant == "topk":
             keep = np.zeros(grad.size, dtype=bool)
             keep[np.argsort(-np.abs(grad).ravel(), kind="stable")[:config.k]] = True
             step = step * keep.reshape(grad.shape)
-        adv = ag.to_bytes(ag.FloatImage(np.clip(xf.pixels + step, 0.0, 1.0)))
+        adv = committed(img, step)
         adversarial = ag.forward(model, adv).label()
         if adversarial != original:
             sample_id, ext = f"{i:05d}", "pgm" if img.planes == 1 else "ppm"

@@ -81,7 +81,7 @@ class TestForward:
         assert pv.confidences.tolist() == pytest.approx(expected, abs=1e-12)
 
     def test_accepts_float_image(self):
-        img = ag.FloatImage(np.full((2, 2, 1), 0.5))
+        img = np.full((2, 2, 1), 0.5)
         assert len(ag.forward(zero_model(d=4), img)) == 10
 
     def test_byte_image_enters_scaled(self):
@@ -89,7 +89,7 @@ class TestForward:
         model = random_model(rng, d=4)
         img = ag.Image(np.array([[200, 10], [128, 255]], dtype=np.uint8))
         direct = ag.forward(model, img).confidences
-        scaled = ag.forward(model, ag.to_float(img)).confidences
+        scaled = ag.forward(model, img.pixels / 255.0).confidences
         assert np.array_equal(direct, scaled)
 
 
@@ -138,9 +138,11 @@ class TestGradients:
         assert np.all(grad == 0.0)
 
     def test_gradient_shape_matches_input(self):
-        img = ag.FloatImage(np.full((2, 2, 1), 0.25))
-        grad = ag.input_gradient(zero_model(d=4), img, 1)
-        assert grad.shape == img.pixels.shape
+        img = np.full((2, 2, 1), 0.25)
+        assert ag.input_gradient(zero_model(d=4), img, 1).shape == img.shape
+        assert ag.input_gradient(zero_model(d=4), img.ravel(), 1).shape == (4,)
+        byte_img = ag.Image(np.zeros((2, 2), dtype=np.uint8))
+        assert ag.input_gradient(zero_model(d=4), byte_img, 1).shape == byte_img.pixels.shape
 
     def test_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -169,7 +171,7 @@ class TestTraining:
         img = ag.Image(rng.integers(0, 256, size=(4, 4)).astype(np.uint8))
         config = ag.TrainConfig(epochs=5, batch_size=10, learning_rate=0.5, seed=1)
         model = ag.train([img] * 100, [7] * 100, config, hidden=16)
-        assert ag.forward(model, ag.to_float(img)).confidences[7] > 0.99
+        assert ag.forward(model, img).confidences[7] > 0.99
 
     def test_loss_non_increasing_over_epochs(self):
         rng = np.random.default_rng(0)
@@ -178,7 +180,7 @@ class TestTraining:
         for epochs in range(1, 6):
             config = ag.TrainConfig(epochs=epochs, batch_size=10, learning_rate=0.5, seed=1)
             model = ag.train([img] * 100, [7] * 100, config, hidden=16)
-            losses.append(ag.loss(model, ag.to_float(img), 7))
+            losses.append(ag.loss(model, img, 7))
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
     def test_same_seed_same_model(self):
@@ -192,18 +194,25 @@ class TestTraining:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
     def test_images_train_as_their_float_images(self):
-        # a list of Images is converted as one batch; it must give the bits of one to_float per image
+        # a list of Images is converted as one batch; it must give the bits of each image divided by 255
         rng = np.random.default_rng(3)
         imgs = [ag.Image(rng.integers(0, 256, size=(5, 3, 3)).astype(np.uint8)) for _ in range(23)]
         labels = [int(v) for v in rng.integers(0, 10, 23)]
-        floats = [ag.to_float(im) for im in imgs]
-        rows = np.stack([f.pixels.ravel() for f in floats])
+        floats = [im.pixels / 255.0 for im in imgs]
+        rows = np.stack([f.ravel() for f in floats])
         config = ag.TrainConfig(epochs=2, batch_size=7, seed=4)
         models = [ag.train(data, labels, config, hidden=6) for data in (imgs, floats, rows)]
         for m in models[1:]:
             for name in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(models[0], name), getattr(m, name))
         assert ag.accuracy(models[0], imgs, labels) == ag.accuracy(models[0], floats, labels)
+
+    @pytest.mark.filterwarnings("error")  # rejected before numpy sees the value
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("field", ["learning_rate", "init_range"])
+    def test_rate_and_range_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="learning rate and init range must be finite and positive"):
+            ag.TrainConfig(**{field: value})
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
@@ -265,7 +274,7 @@ class TestSingleChecks:
         X = rng.uniform(0, 1, (40, model.input_size))
         labels = [ag.forward(model, x).label() for x in X]
         assert ag.accuracy(model, X, labels) == 1.0
-        assert ag.accuracy(model, [ag.FloatImage(x.reshape(2, 3, 1)) for x in X], labels) == 1.0
+        assert ag.accuracy(model, [x.reshape(2, 3, 1) for x in X], labels) == 1.0
         # all classes tie under the zero model: the label is the lowest index
         assert ag.accuracy(zero_model(), np.zeros((3, 4)), [0, 0, 1]) == pytest.approx(2 / 3)
 

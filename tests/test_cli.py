@@ -132,6 +132,15 @@ class TestTrainCommand:
         assert "hidden layer size is 0" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
 
+    def test_non_finite_learning_rate_rejected(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--images", str(pipeline["images"]), "--labels", str(pipeline["labels"]),
+            "--model", str(tmp_path / "m.bin"), "--learning-rate", "nan",
+        ])
+        assert rc == 1
+        assert "learning rate and init range must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestAttackCommand:
     def test_summary_and_manifest(self, pipeline, capsys, tmp_path):

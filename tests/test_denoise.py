@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
-from advguard import denoise
 
 SIX_INTERVAL_CODEBOOK = (
     (0, 49, 0),
@@ -51,8 +50,25 @@ class TestQuantizer:
     def test_table_built_once_per_quantizer(self):
         q = ag.make_quantizer(4)
         assert ag.make_quantizer(4) is q
-        assert denoise._table(q) is denoise._table(ag.Quantizer(4, q.codebook))
-        assert not denoise._table(q).flags.writeable
+        assert q.table.tolist() == [v // 64 * 64 for v in range(256)]
+        assert not q.table.flags.writeable
+
+    @pytest.mark.parametrize("intervals, codebook, message", [
+        (2, ((0, 255, 0),), "2 intervals but 1 codebook entries"),
+        (1, ((0, 100, 5),), r"intervals must cover 0\.\.255, got 0\.\.100"),
+        (1, ((-5, 255, 3),), r"interval -5\.\.255 must be non-empty and start at 0"),
+        (2, ((0, 127, 0), (129, 255, 128)), r"interval 129\.\.255 must be non-empty and start at 128"),
+        (2, ((0, 127, 0), (127, 255, 128)), r"interval 127\.\.255 must be non-empty and start at 128"),
+        (3, ((0, -1, 9), (0, 127, 0), (128, 255, 128)), r"interval 0\.\.-1 must be non-empty and start at 0"),
+        (2, ((0, 127, 0), (128, 300, 128)), r"intervals must cover 0\.\.255, got 0\.\.300"),
+        (2, ((0, 127, 0), (128, 255, 300)), r"codeword 300 out of range 0\.\.255"),
+        (2, ((0, 127, -1), (128, 255, 128)), r"codeword -1 out of range 0\.\.255"),
+        (1, ((0, 255.0, 0),), "must hold three integers"),
+    ], ids=["count", "gap-at-end", "below-zero", "gap", "overlap", "empty", "past-255",
+            "codeword-high", "codeword-negative", "float"])
+    def test_codebook_rules(self, intervals, codebook, message):
+        with pytest.raises(ValueError, match=message):
+            ag.Quantizer(intervals, codebook)
 
     def test_non_uniform_codebook(self):
         # uneven intervals whose codewords are not their lower bounds, one of them a single value

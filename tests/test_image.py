@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advguard as ag
+from advguard.classifier import _bytes, _floats
 
 
 def idx3_bytes(count, rows, cols, payload, magic=0x00000803):
@@ -38,23 +39,19 @@ class TestImageType:
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             ag.Image(np.full((2, 2), 300))
 
-    def test_float_image_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0.0, 1.0\]"):
-            ag.FloatImage(np.full((2, 2), 1.5))
-
     @pytest.mark.parametrize("shape, message", [
         ((4,), "expected 2-D or 3-D pixel array, got 1-D"),
         ((2, 2, 2), "plane count must be 1 or 3, got 2"),
         ((0, 4), "image dimensions must be at least 1x1, got 0x4"),
     ])
-    @pytest.mark.parametrize("cls", [ag.Image, ag.FloatImage])
+    @pytest.mark.parametrize("cls", [ag.Image])
     def test_shape_errors_are_shared(self, cls, shape, message):
         with pytest.raises(ValueError, match=message):
             cls(np.zeros(shape, dtype=np.uint8))
 
     def test_repr_names_the_class(self):
         assert repr(ag.Image(np.zeros((2, 3), dtype=np.uint8))) == "Image(3x2, planes=1)"
-        assert repr(ag.FloatImage(np.zeros((2, 3, 3)))) == "FloatImage(3x2, planes=3)"
+        assert repr(ag.Image(np.zeros((2, 3, 3), dtype=np.uint8))) == "Image(3x2, planes=3)"
 
 
 class TestPgmPpm:
@@ -202,15 +199,16 @@ class TestIdx:
 
 
 class TestDomainConversion:
-    def test_to_float_endpoints(self):
-        img = ag.Image(np.array([[255, 0, 51]], dtype=np.uint8))
-        assert ag.to_float(img).pixels.ravel().tolist() == [1.0, 0.0, 0.2]
+    """Image bytes and the classifier's [0, 1] rows: classifier._floats and classifier._bytes."""
 
-    def test_to_bytes_endpoints_and_tie(self):
-        fimg = ag.FloatImage(np.array([[[1.0], [0.5], [0.0]]]))
+    def test_floats_endpoints(self):
+        assert _floats(np.array([[255, 0, 51]], dtype=np.uint8)).tolist() == [[1.0, 0.0, 0.2]]
+
+    def test_bytes_endpoints_and_tie(self):
         # 0.5 * 255 = 127.5 rounds up (half away from zero)
-        assert ag.to_bytes(fimg).pixels.ravel().tolist() == [255, 128, 0]
+        out = _bytes(np.array([[1.0, 0.5, 0.0]]))
+        assert out.dtype == np.uint8 and out.tolist() == [[255, 128, 0]]
 
     def test_bytes_float_identity_all_values(self):
-        img = ag.Image(np.arange(256, dtype=np.uint8).reshape(16, 16))
-        assert ag.to_bytes(ag.to_float(img)) == img
+        rows = np.arange(256, dtype=np.uint8).reshape(1, 256)
+        assert np.array_equal(_bytes(_floats(rows)), rows)

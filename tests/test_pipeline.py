@@ -7,6 +7,7 @@ the chain. They are not a quality target.
 """
 
 import hashlib
+import types
 
 import advguard as ag
 from synth import template_digits
@@ -30,3 +31,23 @@ def test_seeded_synthetic_pipeline_is_pinned(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "88038f06f95c64503544be855b38d1c971044dc33cb8d986ed5564505698966f"
     )
+
+
+PUBLIC_NAMES = [
+    "AdversarialExample", "AttackConfig", "ClassifierModel", "CorpusError", "CorpusSummary",
+    "DenoiseStrategy", "DetectionError", "DetectionStats", "EntropyProfile", "EvaluationResult",
+    "ExternalClassifier", "ExternalClassifierError", "FilterMask", "FilteredTriple", "FormatError",
+    "Image", "ModelClassifier", "PredictionVector", "Quantizer", "TrainConfig", "Verdict",
+    "accuracy", "adaptive_filter", "averaging_mask", "build_attack_corpus", "combine", "craft",
+    "cross_mask", "detect", "detect_batch", "entropy_2d", "evaluate", "external_classify", "forward",
+    "input_gradient", "load_model", "loss", "make_quantizer", "neighborhood_average",
+    "parameter_gradients", "quantize", "read_idx_images", "read_idx_labels", "read_pgm_ppm",
+    "save_model", "select_strategy", "smooth", "train", "write_pgm_ppm", "write_report",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name is a deliberate edit here, noted in CHANGES.md
+    public = sorted(name for name in dir(ag)
+                    if not name.startswith("_") and not isinstance(getattr(ag, name), types.ModuleType))
+    assert public == PUBLIC_NAMES
