@@ -22,7 +22,6 @@ from .classifier import (
     PredictionVector,
     TrainConfig,
     accuracy,
-    external_classify,
     forward,
     input_gradient,
     load_model,

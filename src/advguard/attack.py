@@ -41,6 +41,8 @@ class AttackConfig:
             raise ValueError(f"unknown attack variant {self.variant!r}")
         if self.variant == "topk" and (self.k is None or self.k < 1):
             raise ValueError("top-k attack needs k >= 1")
+        if self.variant != "topk" and self.k is not None:
+            raise ValueError("k applies only to the top-k variant")
 
 
 @dataclass(eq=False)

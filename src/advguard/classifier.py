@@ -21,14 +21,11 @@ from .image import Image, write_pgm_ppm
 
 MODEL_MAGIC = b"ADVG"
 MODEL_VERSION = 1
+_INIT_RANGE = 0.05  # train draws initial weights uniformly from [-0.05, 0.05]
 
 
 class ExternalClassifierError(RuntimeError):
     """The external classifier command failed or produced invalid output."""
-
-
-class _TimedOut(ExternalClassifierError):
-    """The external classifier command ran past its timeout."""
 
 
 def _check_confidences(P, tol):
@@ -126,13 +123,12 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.1
     seed: int = 42
-    init_range: float = 0.05
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
-        if not all(math.isfinite(v) and v > 0 for v in (self.learning_rate, self.init_range)):
-            raise ValueError("learning rate and init range must be finite and positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and positive")
 
 
 def _rows(images):
@@ -242,9 +238,9 @@ def train(images, labels, config=None, hidden=128, classes=10):
 
     Images may be Images (converted to [0, 1]) or rows of [0, 1] values,
     such as an (n, d) array. The run is a pure function of data and
-    config.seed: weights are initialized uniformly in [-init_range,
-    init_range] and every epoch's shuffle comes from the same seeded
-    generator, so identical inputs give bitwise-identical models.
+    config.seed: weights are initialized uniformly in [-0.05, 0.05] and
+    every epoch's shuffle comes from the same seeded generator, so
+    identical inputs give bitwise-identical models.
     """
     if config is None:
         config = TrainConfig()
@@ -254,7 +250,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
         raise ValueError(f"label out of range 0..{classes - 1}")
 
     rng = np.random.default_rng(config.seed)
-    r = config.init_range
+    r = _INIT_RANGE
     model = ClassifierModel(rng.uniform(-r, r, size=(d, hidden)), np.zeros(hidden),
                             rng.uniform(-r, r, size=(hidden, classes)), np.zeros(classes))
     onehot = np.eye(classes)
@@ -310,36 +306,6 @@ def load_model(path):
     return ClassifierModel(parts[0].reshape(d, h), parts[1], parts[2].reshape(h, n), parts[3])
 
 
-def external_classify(command, image_path, timeout=None):
-    """Run `command <image_path>` and parse its stdout as a prediction vector.
-
-    The command must exit 0 and print whitespace-separated nonnegative
-    confidences summing to 1 within 1e-3. With a `timeout` in seconds, a
-    command still running after it is killed; None waits without limit.
-    """
-    argv = shlex.split(command) + [str(image_path)]
-    try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-    except OSError as e:
-        raise ExternalClassifierError(f"cannot run {argv[0]!r}: {e}") from e
-    except subprocess.TimeoutExpired:
-        raise _TimedOut(f"classifier command timed out after {timeout:g} s") from None
-    if proc.returncode != 0:
-        raise ExternalClassifierError(
-            f"classifier command exited {proc.returncode}: {proc.stderr.strip()[:200]}"
-        )
-    try:
-        values = [float(tok) for tok in proc.stdout.split()]
-    except ValueError:
-        raise ExternalClassifierError(f"unparsable classifier output: {proc.stdout[:200]!r}") from None
-    if not values:
-        raise ExternalClassifierError("classifier printed no confidences")
-    try:
-        return PredictionVector(values, tol=1e-3)
-    except ValueError as e:
-        raise ExternalClassifierError(str(e)) from None
-
-
 class ModelClassifier:
     """Adapter: classify stored Images with a built-in model."""
 
@@ -357,25 +323,41 @@ class ModelClassifier:
 class ExternalClassifier:
     """Adapter: classify stored Images through an external command.
 
-    Each call writes the image to a temporary PGM/PPM file and hands the
-    path to the command, which gets `timeout` seconds (None: no limit).
-    Once it has timed out, later calls fail at once without running it.
+    Each call writes the image to a temporary PGM/PPM file and runs
+    `command <path>`, which gets `timeout` seconds (None: no limit). The
+    command must exit 0 and print whitespace-separated nonnegative
+    confidences summing to 1 within 1e-3. Once it has timed out, later
+    calls fail at once without running it.
     """
 
     def __init__(self, command, timeout=None):
         self.command = command
         self.timeout = timeout
-        self._timed_out = None
+        self._timed_out = None  # the timeout message, once the command has run past it
 
     def __call__(self, img):
         if self._timed_out is not None:
             raise ExternalClassifierError(f"{self._timed_out} earlier; not run again")
-        suffix = ".pgm" if img.planes == 1 else ".ppm"
-        with tempfile.NamedTemporaryFile(suffix=suffix, delete=True) as f:
+        with tempfile.NamedTemporaryFile(suffix=".pgm" if img.planes == 1 else ".ppm") as f:
             f.write(write_pgm_ppm(img))
             f.flush()
+            argv = shlex.split(self.command) + [f.name]
             try:
-                return external_classify(self.command, f.name, self.timeout)
-            except _TimedOut as e:
-                self._timed_out = e
-                raise
+                proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
+            except OSError as e:
+                raise ExternalClassifierError(f"cannot run {argv[0]!r}: {e}") from e
+            except subprocess.TimeoutExpired:
+                self._timed_out = f"classifier command timed out after {self.timeout:g} s"
+                raise ExternalClassifierError(self._timed_out) from None
+        if proc.returncode != 0:
+            raise ExternalClassifierError(
+                f"classifier command exited {proc.returncode}: {proc.stderr.strip()[:200]}"
+            )
+        try:
+            values = [float(tok) for tok in proc.stdout.split()]
+        except ValueError:
+            raise ExternalClassifierError(f"unparsable classifier output: {proc.stdout[:200]!r}") from None
+        try:
+            return PredictionVector(values, tol=1e-3)
+        except ValueError as e:
+            raise ExternalClassifierError(str(e)) from None

@@ -54,8 +54,14 @@ def _positive_seconds(text):
     return value
 
 
+def _nonblank(text):
+    if not text.strip():
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _make_classify(args):
-    if getattr(args, "external", None):
+    if args.external is not None:
         return clf.ExternalClassifier(args.external, timeout=args.timeout)
     return clf.ModelClassifier(clf.load_model(args.model))
 
@@ -125,8 +131,9 @@ def _cmd_eval(args):
 
 
 def _add_classifier_args(p):
-    p.add_argument("--model", help="built-in model file")
-    p.add_argument("--external", help="external classifier command")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--model", type=_nonblank, help="built-in model file")
+    which.add_argument("--external", type=_nonblank, help="external classifier command")
     p.add_argument("--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
                    help="kill an external classifier call after this long (default: no limit)")
 
@@ -190,9 +197,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
-    if args.command in ("detect", "eval") and bool(args.model) == bool(args.external):
-        print("error: give exactly one of --model or --external", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except detector.CorpusError as e:

@@ -86,26 +86,13 @@ def _denoise(images):
     return zip(profiles, strategies, denoised)
 
 
-def _label_pairs(classify, raw, denoised):
-    """(raw label, denoised label) per image, or the exception that classifying it raised."""
-    batch = getattr(classify, "batch", None)
-    if batch is None:
-        pairs = []
-        for pair in zip(raw, denoised):
-            try:
-                pairs.append(tuple(classify(img).label() for img in pair))
-            except Exception as e:
-                pairs.append(e)
-        return pairs
+def _label_pairs(batch, raw, denoised):
+    """(raw label, denoised label) per image, lowest index on ties; if classifying fails, its exception for each."""
     try:
         predictions = list(batch(raw + denoised))
         if len(predictions) != 2 * len(raw):
             raise ValueError(f"batch returned {len(predictions)} predictions for {2 * len(raw)} images")
-        rows = [p.confidences for p in predictions]
-        if len({row.size for row in rows}) == 1:  # one argmax over the stacked rows, lowest index on ties
-            labels = np.argmax(np.array(rows), axis=1).tolist()
-        else:
-            labels = [p.label() for p in predictions]
+        labels = np.argmax(np.array([p.confidences for p in predictions]), axis=1).tolist()
     except Exception as e:
         return [e] * len(raw)
     return list(zip(labels[:len(raw)], labels[len(raw):]))
@@ -117,14 +104,19 @@ def detect_batch(classify, images, sample_ids=None):
     Same-shape images are filtered as stacks, a bounded number at a time.
     When `classify` has a `batch(images) -> [PredictionVector]` method, as
     ModelClassifier does, each same-shape group is classified by one call
-    over its raw and denoised images, and if that call fails, every sample
-    of the group gets the error. Any other callable is called image by
-    image, raw then denoised, in the order of `images`.
+    over its raw and denoised images. Any other callable is a batch of one
+    image: it is called on the raw image, then on the denoised one, in the
+    order of `images`. If a call fails, or its predictions differ in length,
+    every sample of that batch gets the error.
     """
     images = list(images)
     sample_ids = [""] * len(images) if sample_ids is None else list(sample_ids)
     if len(sample_ids) != len(images):
         raise ValueError("images and sample ids are not aligned")
+    batch = getattr(classify, "batch", None)
+    single = batch is None
+    if single:
+        batch = lambda pair: [classify(img) for img in pair]
     results = [None] * len(images)
     for chunk in _chunks(range(len(images)), lambda i: images[i].pixels.size):
         groups, found = {}, {}  # shape -> indices; index -> (profile, strategy, denoised)
@@ -132,8 +124,8 @@ def detect_batch(classify, images, sample_ids=None):
             groups.setdefault(images[i].pixels.shape, []).append(i)
         for members in groups.values():
             found.update(zip(members, _denoise([images[i] for i in members])))
-        for run in groups.values() if hasattr(classify, "batch") else [chunk]:
-            pairs = _label_pairs(classify, [images[i] for i in run], [found[i][2] for i in run])
+        for run in ([i] for i in chunk) if single else groups.values():
+            pairs = _label_pairs(batch, [images[i] for i in run], [found[i][2] for i in run])
             for i, labels in zip(run, pairs):
                 results[i] = _verdict(sample_ids[i], *found[i][:2], labels)
     return results
@@ -152,10 +144,10 @@ def _verdict(sample_id, profile, strategy, labels):
 def detect(classify, img, sample_id=""):
     """Classify an image and its denoised version; flag on label change.
 
-    `classify` is any callable mapping an Image to a PredictionVector.
-    This is detect_batch on one image, so a `batch` method is used when
-    the classifier has one. Classifier failures raise DetectionError with
-    the sample id attached.
+    `classify` is any callable mapping an Image to a PredictionVector (or
+    any result with `.confidences`). This is detect_batch on one image, so
+    a `batch` method is used when the classifier has one. Classifier
+    failures raise DetectionError with the sample id attached.
     """
     (result,) = detect_batch(classify, [img], [sample_id])
     if isinstance(result, DetectionError):

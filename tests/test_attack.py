@@ -47,6 +47,11 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="variant"):
             ag.AttackConfig(variant="pgd")
 
+    def test_k_only_with_topk(self):
+        with pytest.raises(ValueError, match="^k applies only to the top-k variant$"):
+            ag.AttackConfig(epsilon=0.1, k=50)
+        assert ag.AttackConfig(variant="topk", k=50).k == 50
+
     @pytest.mark.parametrize("fields", [
         {"target": 1.0}, {"target": True}, {"target": "1"},
         {"variant": "topk", "k": 2.5}, {"variant": "topk", "k": True}, {"k": 1.0},

@@ -209,9 +209,9 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("error")  # rejected before numpy sees the value
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
-    @pytest.mark.parametrize("field", ["learning_rate", "init_range"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     def test_rate_and_range_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match="learning rate and init range must be finite and positive"):
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
             ag.TrainConfig(**{field: value})
 
     def test_empty_dataset_rejected(self):
@@ -391,28 +391,32 @@ def write_stub(tmp_path, name, body):
     return f'"{sys.executable}" "{script}"'
 
 
+def blank():
+    return ag.Image(np.zeros((2, 2), dtype=np.uint8))
+
+
 class TestExternalClassifier:
     def test_parses_stub_output(self, tmp_path):
         cmd = write_stub(tmp_path, "ok.py", "print('0.1 0.9')\n")
-        pv = ag.external_classify(cmd, "ignored.pgm")
+        pv = ag.ExternalClassifier(cmd)(blank())
         assert pv.confidences.tolist() == [0.1, 0.9]
         assert pv.label() == 1
 
     def test_nonzero_exit_surfaced(self, tmp_path):
         cmd = write_stub(tmp_path, "fail.py", "import sys; sys.exit(3)\n")
         with pytest.raises(ag.ExternalClassifierError, match="exited 3"):
-            ag.external_classify(cmd, "x.pgm")
+            ag.ExternalClassifier(cmd)(blank())
 
     def test_timeout_surfaced(self, tmp_path):
         cmd = write_stub(tmp_path, "slow.py", "import time; time.sleep(30)\n")
-        with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.2 s"):
-            ag.external_classify(cmd, "x.pgm", timeout=0.2)
+        with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.2 s$"):
+            ag.ExternalClassifier(cmd, 0.2)(blank())
 
     def test_not_rerun_after_timeout(self, tmp_path):
         log = tmp_path / "starts.txt"
         body = f"import time\nwith open({str(log)!r}, 'a') as f:\n    f.write('start\\n')\ntime.sleep(30)\n"
         classify = ag.ExternalClassifier(write_stub(tmp_path, "hang.py", body), timeout=0.5)
-        img = ag.Image(np.zeros((2, 2), dtype=np.uint8))
+        img = blank()
         with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.5 s$"):
             classify(img)
         for _ in range(3):
@@ -423,12 +427,17 @@ class TestExternalClassifier:
     def test_bad_sum_rejected(self, tmp_path):
         cmd = write_stub(tmp_path, "badsum.py", "print('0.5 0.6')\n")
         with pytest.raises(ag.ExternalClassifierError, match="sum"):
-            ag.external_classify(cmd, "x.pgm")
+            ag.ExternalClassifier(cmd)(blank())
 
     def test_unparsable_output_rejected(self, tmp_path):
         cmd = write_stub(tmp_path, "garbage.py", "print('not numbers')\n")
         with pytest.raises(ag.ExternalClassifierError, match="unparsable"):
-            ag.external_classify(cmd, "x.pgm")
+            ag.ExternalClassifier(cmd)(blank())
+
+    def test_empty_output_rejected(self, tmp_path):
+        cmd = write_stub(tmp_path, "silent.py", "")
+        with pytest.raises(ag.ExternalClassifierError, match="^prediction vector is empty$"):
+            ag.ExternalClassifier(cmd)(blank())
 
     def test_adapter_hands_real_image_file(self, tmp_path):
         # stub answers from the image itself: reads the PGM payload's first byte

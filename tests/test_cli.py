@@ -138,7 +138,7 @@ class TestTrainCommand:
             "--model", str(tmp_path / "m.bin"), "--learning-rate", "nan",
         ])
         assert rc == 1
-        assert "learning rate and init range must be finite and positive" in capsys.readouterr().err
+        assert "learning rate must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
 
 
@@ -163,6 +163,15 @@ class TestAttackCommand:
         assert rc == 0
         assert "attacked=20" in capsys.readouterr().out
 
+    def test_k_without_topk_variant_rejected(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "attack", "--model", str(pipeline["model"]), "--images", str(pipeline["images"]),
+            "--out", str(tmp_path / "c"), "--k", "50",
+        ])
+        assert rc == 1
+        assert "k applies only to the top-k variant" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestDetectCommand:
     def test_reports_labels(self, pipeline, tmp_path, capsys):
@@ -178,6 +187,8 @@ class TestDetectCommand:
         path.write_bytes(ag.write_pgm_ppm(ag.Image(np.zeros((4, 4), dtype=np.uint8))))
         assert main(["detect", str(path)]) == 2
         assert main(["detect", "--model", "m", "--external", "cmd", str(path)]) == 2
+        assert main(["detect", "--external", " ", str(path)]) == 2
+        assert main(["detect", "--model", "", str(path)]) == 2
 
     def test_overflowing_model_prints_only_the_error(self, tmp_path):
         model = tmp_path / "model.bin"
@@ -207,6 +218,15 @@ class TestDetectCommand:
         path.write_bytes(ag.write_pgm_ppm(ag.Image(np.zeros((4, 4), dtype=np.uint8))))
         rc = main(["detect", "--external", f'"{sys.executable}" "{stub}"', str(path)])
         assert rc == 4
+
+    def test_external_empty_output_exit_code(self, tmp_path, capsys):
+        stub = tmp_path / "silent.py"
+        stub.write_text("")
+        path = tmp_path / "img.pgm"
+        path.write_bytes(ag.write_pgm_ppm(ag.Image(np.zeros((4, 4), dtype=np.uint8))))
+        rc = main(["detect", "--external", f'"{sys.executable}" "{stub}"', str(path)])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: sample {path}: prediction vector is empty\n"
 
     def test_external_timeout_exit_code(self, tmp_path, capsys):
         path = tmp_path / "img.pgm"

@@ -207,9 +207,24 @@ class TestDetectBatch:
                 rows = [[0.2, 0.4, 0.4], [0.6, 0.2, 0.2], [0.5, 0.5] + pad, [0.1, 0.9] + pad]
                 return [ag.PredictionVector(row) for row in rows]
 
-        results = ag.detect_batch(Fixed(), [flat_image(10), flat_image(20)])
-        assert [(v.original_label, v.denoised_label, v.adversarial) for v in results] == [
-            (1, 0, True), (0, 1, True)]
+        results = ag.detect_batch(Fixed(), [flat_image(10), flat_image(20)], ["a", "b"])
+        if denoised_length == 2:  # rows of different lengths have no common label space
+            assert all(isinstance(r, ag.DetectionError) for r in results)
+            assert [str(r).split(":")[0] for r in results] == ["sample a", "sample b"]
+        else:
+            assert [(v.original_label, v.denoised_label, v.adversarial) for v in results] == [
+                (1, 0, True), (0, 1, True)]
+
+    def test_plain_callable_length_mismatch_stays_with_its_sample(self):
+        def shorter_when_denoised(img):
+            if img.pixels[0, 0, 0] == 30:  # the raw third image; its denoised version is darker
+                return ag.PredictionVector([0.2, 0.3, 0.5])
+            return ag.PredictionVector([0.6, 0.4])
+
+        images = [flat_image(10), flat_image(20), flat_image(30), flat_image(40)]
+        results = ag.detect_batch(shorter_when_denoised, images, ["a", "b", "c", "d"])
+        assert [type(r) for r in results] == [ag.Verdict, ag.Verdict, ag.DetectionError, ag.Verdict]
+        assert str(results[2]).startswith("sample c: ")
 
     def test_bounded_batches_give_the_same_verdicts(self, monkeypatch):
         images = mixed_stack(4, count=30)

@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
     "ExternalClassifier", "ExternalClassifierError", "FilterMask", "FilteredTriple", "FormatError",
     "Image", "ModelClassifier", "PredictionVector", "Quantizer", "TrainConfig", "Verdict",
     "accuracy", "adaptive_filter", "averaging_mask", "build_attack_corpus", "combine", "craft",
-    "cross_mask", "detect", "detect_batch", "entropy_2d", "evaluate", "external_classify", "forward",
+    "cross_mask", "detect", "detect_batch", "entropy_2d", "evaluate", "forward",
     "input_gradient", "load_model", "loss", "make_quantizer", "neighborhood_average",
     "parameter_gradients", "quantize", "read_idx_images", "read_idx_labels", "read_pgm_ppm",
     "save_model", "select_strategy", "smooth", "train", "write_pgm_ppm", "write_report",
