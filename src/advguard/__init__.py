@@ -32,10 +32,7 @@ from .classifier import (
 )
 from .denoise import (
     FilteredTriple,
-    FilterMask,
-    Quantizer,
     adaptive_filter,
-    averaging_mask,
     combine,
     cross_mask,
     make_quantizer,

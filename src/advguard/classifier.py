@@ -327,11 +327,15 @@ class ExternalClassifier:
     `command <path>`, which gets `timeout` seconds (None: no limit). The
     command must exit 0 and print whitespace-separated nonnegative
     confidences summing to 1 within 1e-3. Once it has timed out, later
-    calls fail at once without running it.
+    calls fail at once without running it. A command that cannot be split
+    into words, or whose first word is empty, is a ValueError here.
     """
 
     def __init__(self, command, timeout=None):
         self.command = command
+        self._argv = shlex.split(command)  # a ValueError of its own on an unclosed quote or a trailing backslash
+        if not self._argv or not self._argv[0]:
+            raise ValueError(f"classifier command {command!r} names no program")
         self.timeout = timeout
         self._timed_out = None  # the timeout message, once the command has run past it
 
@@ -341,7 +345,7 @@ class ExternalClassifier:
         with tempfile.NamedTemporaryFile(suffix=".pgm" if img.planes == 1 else ".ppm") as f:
             f.write(write_pgm_ppm(img))
             f.flush()
-            argv = shlex.split(self.command) + [f.name]
+            argv = self._argv + [f.name]
             try:
                 proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
             except OSError as e:

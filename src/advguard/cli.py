@@ -60,6 +60,13 @@ def _nonblank(text):
     return text
 
 
+def _command(text):
+    try:  # the check ExternalClassifier makes, made before any image is read
+        return clf.ExternalClassifier(text).command
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _make_classify(args):
     if args.external is not None:
         return clf.ExternalClassifier(args.external, timeout=args.timeout)
@@ -133,7 +140,7 @@ def _cmd_eval(args):
 def _add_classifier_args(p):
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--model", type=_nonblank, help="built-in model file")
-    which.add_argument("--external", type=_nonblank, help="external classifier command")
+    which.add_argument("--external", type=_command, help="external classifier command")
     p.add_argument("--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
                    help="kill an external classifier call after this long (default: no limit)")
 

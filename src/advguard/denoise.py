@@ -8,7 +8,6 @@ original intensity. Ties keep the quantized value.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -19,59 +18,11 @@ from .image import Image
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Interval partition of 0..255, each interval replaced by its codeword.
-
-    The intervals run in order, without gaps or overlaps, over exactly
-    0..255. ``table``, the 256-entry codeword of every byte, is built here.
-    """
+    """One of the three uniform quantizers that make_quantizer builds; ``table`` maps each byte to its codeword."""
 
     intervals: int
     codebook: tuple  # (lower, upper, codeword) per interval
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.intervals != len(self.codebook):
-            raise ValueError(f"{self.intervals} intervals but {len(self.codebook)} codebook entries")
-        table = np.empty(256, dtype=np.uint8)
-        start = 0
-        for entry in self.codebook:
-            lo, hi, code = entry
-            if not all(isinstance(v, Integral) for v in entry):
-                raise ValueError(f"codebook entry {entry!r} must hold three integers")
-            if lo != start or hi < lo:
-                raise ValueError(f"interval {lo}..{hi} must be non-empty and start at {start}: "
-                                 "intervals run in order over 0..255 without gaps or overlaps")
-            if not 0 <= code <= 255:
-                raise ValueError(f"codeword {code} out of range 0..255")
-            table[lo:hi + 1] = code
-            start = hi + 1
-        if start != 256:
-            raise ValueError(f"intervals must cover 0..255, got 0..{start - 1}")
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)  # the dataclass is frozen
-
-
-@dataclass(eq=False)
-class FilterMask:
-    """5x5 integer filter mask; weights indexed by [s + 2, t + 2]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.shape != (5, 5):
-            raise ValueError(f"filter mask must be 5x5, got shape {w.shape}")
-        if not np.issubdtype(w.dtype, np.integer):
-            raise ValueError(f"filter mask weights must be integer, got {w.dtype}")
-        if w.sum() == 0:
-            raise ValueError("filter mask weights need a nonzero sum")
-        if w.min() < 0:  # a signed sum can leave 0..255 and would wrap as a byte
-            raise ValueError(f"filter mask weights must be nonnegative, got {w.min()}")
-        self.weights = w
-
-    @property
-    def normalizer(self):
-        return int(self.weights.sum())
+    table: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(eq=False)
@@ -85,7 +36,7 @@ class FilteredTriple:
 
 @lru_cache(maxsize=None)
 def make_quantizer(intervals):
-    """Build the uniform left-value quantizer with 2, 4, or 6 intervals.
+    """The uniform left-value quantizer with 2, 4, or 6 intervals, built once per count.
 
     Steps are 128, 64, and 50; with 6 intervals the last interval is the
     short [250, 255] one.
@@ -97,7 +48,9 @@ def make_quantizer(intervals):
     codebook = tuple(
         (lo, min(lo + step - 1, 255), lo) for lo in range(0, 256, step)
     )
-    return Quantizer(intervals, codebook)
+    table = (np.arange(256) // step * step).astype(np.uint8)
+    table.flags.writeable = False
+    return Quantizer(intervals, codebook, table)
 
 
 def quantize(img, q):
@@ -110,20 +63,17 @@ _CROSS[2, :] = _CROSS[:, 2] = 1
 
 
 def cross_mask():
-    """The 5x5 mask weighting the center pixel and its axis neighbors by 1."""
-    return FilterMask(_CROSS.copy())
-
-
-def averaging_mask():
-    """The plain 5x5 averaging mask (all weights 1)."""
-    return FilterMask(np.ones((5, 5), dtype=np.int64))
+    """The 5x5 mask weighting the center pixel and its axis neighbors by 1, as a fresh array."""
+    return _CROSS.copy()
 
 
 def smooth(img, mask=None):
-    """Normalized mask convolution of each plane (default: cross mask)."""
-    if mask is None:
-        mask = cross_mask()
-    return Image(_stencil(img.pixels, mask.weights))
+    """Rounded mean of each plane over the 1-weights of `mask`, a 5x5 integer array of 0s and 1s (default: the cross)."""
+    weights = _CROSS if mask is None else np.asarray(mask)
+    if weights.shape != (5, 5) or weights.dtype.kind not in "iu" or weights.min() < 0 or weights.max() != 1:
+        raise ValueError(f"filter mask must be a 5x5 integer array of 0/1 weights with at least one 1, "
+                         f"got {weights.dtype} of shape {weights.shape}")
+    return Image(_stencil(img.pixels, weights))
 
 
 def combine(original, quantized, smoothed_quantized):

@@ -168,11 +168,14 @@ def _read_manifest(corpus_dir):
         raise CorpusError(f"malformed manifest in {corpus_dir}")
     if len(rows) == 1:
         raise CorpusError(f"empty corpus: manifest in {corpus_dir} has no samples")
+    ids = {}  # id: its line, in manifest order
     for line, row in enumerate(rows[1:], start=2):
         # ids name files through _read_sample, so each must be a plain file-name stem
         if len(row) != 3 or row[0] in ("", ".", "..") or any(c in row[0] for c in "/\\\0"):
             raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} is {row!r}")
-    return [row[0] for row in rows[1:]]
+        if ids.setdefault(row[0], line) != line:  # a repeated id would read and count one pair twice
+            raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} repeats id {row[0]!r}")
+    return list(ids)
 
 
 # open errors on names that Path.is_file() calls no file: missing, under a non-directory, a link loop, a socket

@@ -51,27 +51,25 @@ _BOX = np.ones((5, 5), dtype=np.int64)
 
 
 def _add_across(acc, rows, weight_row):
-    """acc += one weight row applied across `rows` (a stack of padded rows)."""
+    """acc += the taps of one 0/1 weight row applied across `rows` (a stack of padded rows)."""
     width = acc.shape[1]
     for j, wt in enumerate(weight_row):
         if wt:
-            window = rows[:, 4 - j:4 - j + width]
-            acc += window if wt == 1 else wt * window.astype(acc.dtype)
+            acc += rows[:, 4 - j:4 - j + width]
 
 
 def _stencil(pixels, weights):
-    """Normalized 5x5 integer stencil over every plane of an (H, W, P) uint8 array.
+    """Normalized 5x5 0/1 stencil over every plane of an (H, W, P) uint8 array.
 
-    out[x, y] = round(sum_{s,t} w[s + 2, t + 2] f(x - s, y - t) / sum(w)),
-    replicate-padded, in exact integer arithmetic. Halves round up, which is
-    away from zero for the nonnegative sums of nonnegative weights.
+    out[x, y] = round(sum_{s,t} w[s + 2, t + 2] f(x - s, y - t) / n), with
+    every weight 0 or 1 and n = sum(w) >= 1 taps, replicate-padded, in exact
+    integer arithmetic. Halves round up, which is away from zero for these
+    nonnegative sums.
 
-    The sums run in the narrowest exact type: int16 when
-    511 * sum(w) < 2**15, which bounds every partial sum and the rounding
-    numerator 2 * acc + sum(w), and int64 otherwise. A weight row
-    that occurs more than once is summed across the padded image once and
-    added down at each of its offsets; a row that occurs once is added tap
-    by tap.
+    The sums run in int16: at most 25 taps of 255 keep every partial sum
+    and the rounding numerator 2 * acc + n below 2**15. A weight row that
+    occurs more than once is summed across the padded image once and added
+    down at each of its offsets; a row that occurs once is added tap by tap.
     """
     h, w, planes = pixels.shape
     # replicate padding by hand: np.pad's fixed overhead is a third of the whole
@@ -82,7 +80,7 @@ def _stencil(pixels, weights):
     padded[:, :2], padded[:, -2:] = padded[:, 2:3], padded[:, -3:-2]
     rows = weights.tolist()
     n = sum(map(sum, rows))
-    acc = np.zeros(pixels.shape, dtype=np.int16 if 511 * n < 2**15 else np.int64)
+    acc = np.zeros(pixels.shape, dtype=np.int16)
     across = {}
     for i, row in enumerate(rows):
         if rows.count(row) == 1:
@@ -90,11 +88,11 @@ def _stencil(pixels, weights):
         elif any(row):
             key = tuple(row)
             if key not in across:
-                if [wt for wt in row if wt] == [1]:  # one weight-1 tap: a view, no sum
+                if sum(row) == 1:  # one tap: a view, no sum
                     j = row.index(1)
                     across[key] = padded[:, 4 - j:4 - j + w]
                 else:
-                    across[key] = np.zeros((h + 4, w, planes), dtype=acc.dtype)
+                    across[key] = np.zeros((h + 4, w, planes), dtype=np.int16)
                     _add_across(across[key], padded, row)
             acc += across[key][4 - i:4 - i + h]
     return ((2 * acc + n) // (2 * n)).astype(np.uint8)

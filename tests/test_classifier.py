@@ -439,6 +439,15 @@ class TestExternalClassifier:
         with pytest.raises(ag.ExternalClassifierError, match="^prediction vector is empty$"):
             ag.ExternalClassifier(cmd)(blank())
 
+    @pytest.mark.parametrize("command, message", [
+        ("python3 'stub.py", "^No closing quotation$"),
+        ('""', "^classifier command '\"\"' names no program$"),
+        (" ", "^classifier command ' ' names no program$"),
+    ], ids=["unbalanced-quote", "empty-program", "blank"])
+    def test_unsplittable_command_rejected_at_construction(self, command, message):
+        with pytest.raises(ValueError, match=message):
+            ag.ExternalClassifier(command)
+
     def test_adapter_hands_real_image_file(self, tmp_path):
         # stub answers from the image itself: reads the PGM payload's first byte
         body = (

@@ -190,6 +190,13 @@ class TestDetectCommand:
         assert main(["detect", "--external", " ", str(path)]) == 2
         assert main(["detect", "--model", "", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["python3 'stub.py", '""'])
+    def test_unsplittable_external_command_is_usage_error(self, tmp_path, capsys, command):
+        # a missing image would exit 1 if it were read first
+        assert main(["detect", "--external", command, str(tmp_path / "missing.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert "--external: " in err and "Traceback" not in err
+
     def test_overflowing_model_prints_only_the_error(self, tmp_path):
         model = tmp_path / "model.bin"
         ag.save_model(ag.ClassifierModel(np.zeros((16, 3)) + 1e308, np.zeros(3),
@@ -281,6 +288,28 @@ class TestEvalCommand:
         rc = main(["eval", "--model", str(pipeline["model"]), "--corpus", str(broken)])
         assert rc == 3
         assert "malformed manifest" in capsys.readouterr().err
+
+    def test_repeated_manifest_id_exit_code(self, pipeline, tmp_path, capsys):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(pipeline["corpus"], broken)
+        first = (broken / "manifest.csv").read_text().splitlines()[1]
+        with open(broken / "manifest.csv", "a") as f:
+            f.write(first + "\n")
+        rc = main(["eval", "--model", str(pipeline["model"]), "--corpus", str(broken)])
+        assert rc == 3
+        assert f"repeats id '{first.split(',')[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        ("python3 'stub.py", "No closing quotation"),
+        ('""', "classifier command '\"\"' names no program"),
+    ], ids=["unbalanced-quote", "empty-program"])
+    def test_unsplittable_external_command_is_usage_error(self, pipeline, tmp_path, capsys, command, message):
+        # found by the argument parser, before the corpus is read
+        rc = main(["eval", "--external", command, "--corpus", str(pipeline["corpus"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search("--external: " + message, err) and "Traceback" not in err
 
     def test_external_timeout_exit_code(self, pipeline, tmp_path, capsys):
         import shutil

@@ -406,6 +406,13 @@ class TestEvaluate:
         with pytest.raises(ag.CorpusError, match="line 3"):
             ag.evaluate(threshold_classifier, corpus)
 
+    def test_repeated_manifest_id_rejected(self, tmp_path):
+        corpus = write_corpus(tmp_path, [(flat_image(200), flat_image(110)) for _ in range(2)])
+        with open(corpus / "manifest.csv", "a") as f:
+            f.write("00001,0,1\n")
+        with pytest.raises(ag.CorpusError, match="^malformed manifest in .*: line 4 repeats id '00001'$"):
+            ag.evaluate(threshold_classifier, corpus)
+
 
 class TestReport:
     def test_single_sample_report_layout(self, tmp_path):

@@ -36,9 +36,9 @@ def test_seeded_synthetic_pipeline_is_pinned(tmp_path):
 PUBLIC_NAMES = [
     "AdversarialExample", "AttackConfig", "ClassifierModel", "CorpusError", "CorpusSummary",
     "DenoiseStrategy", "DetectionError", "DetectionStats", "EntropyProfile", "EvaluationResult",
-    "ExternalClassifier", "ExternalClassifierError", "FilterMask", "FilteredTriple", "FormatError",
-    "Image", "ModelClassifier", "PredictionVector", "Quantizer", "TrainConfig", "Verdict",
-    "accuracy", "adaptive_filter", "averaging_mask", "build_attack_corpus", "combine", "craft",
+    "ExternalClassifier", "ExternalClassifierError", "FilteredTriple", "FormatError",
+    "Image", "ModelClassifier", "PredictionVector", "TrainConfig", "Verdict",
+    "accuracy", "adaptive_filter", "build_attack_corpus", "combine", "craft",
     "cross_mask", "detect", "detect_batch", "entropy_2d", "evaluate", "forward",
     "input_gradient", "load_model", "loss", "make_quantizer", "neighborhood_average",
     "parameter_gradients", "quantize", "read_idx_images", "read_idx_labels", "read_pgm_ppm",
