@@ -8,13 +8,12 @@ the sign of the loss gradient with respect to the input; sign(0) is 0.
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .classifier import _bytes, _check_class, _floats, _forward, _hidden_gradient, _rows
+from .classifier import _bytes, _check_class, _check_integers, _floats, _forward, _hidden_gradient, _rows
 from .image import Image, _chunks, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -31,10 +30,7 @@ class AttackConfig:
     target: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("k", "target"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, Integral) or isinstance(value, bool)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, [name for name in ("k", "target") if getattr(self, name) is not None])
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.variant not in ("full", "topk"):

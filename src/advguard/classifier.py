@@ -13,6 +13,7 @@ import struct
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,13 @@ class ClassifierModel:
         return self.w2.shape[1]
 
 
+def _check_integers(config, names):
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, Integral) or isinstance(value, bool):  # a bool is an Integral too
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -125,6 +133,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_integers(self, ("epochs", "batch_size", "seed"))
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
         if not 0 < self.learning_rate < math.inf:
@@ -324,14 +333,16 @@ class ExternalClassifier:
     """Adapter: classify stored Images through an external command.
 
     Each call writes the image to a temporary PGM/PPM file and runs
-    `command <path>`, which gets `timeout` seconds (None: no limit). The
-    command must exit 0 and print whitespace-separated nonnegative
-    confidences summing to 1 within 1e-3. Once it has timed out, later
-    calls fail at once without running it. A command that cannot be split
-    into words, or whose first word is empty, is a ValueError here.
+    `command <path>`, which gets `timeout` seconds (None: no limit). The command
+    must exit 0 and print whitespace-separated nonnegative confidences summing
+    to 1 within 1e-3. Once it has timed out, later calls fail at once without
+    running it. A command that is not a str, cannot be split into words, or
+    whose first word is empty is a ValueError here.
     """
 
     def __init__(self, command, timeout=None):
+        if not isinstance(command, str):  # shlex.split(None) would read the words from standard input
+            raise ValueError(f"classifier command must be a string, got {type(command).__name__}")
         self.command = command
         self._argv = shlex.split(command)  # a ValueError of its own on an unclosed quote or a trailing backslash
         if not self._argv or not self._argv[0]:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import _stencil, entropy_2d, select_strategy
+from .entropy import _tap_mean, entropy_2d, select_strategy
 from .image import Image
 
 
@@ -60,6 +60,7 @@ def quantize(img, q):
 
 _CROSS = np.zeros((5, 5), dtype=np.int64)
 _CROSS[2, :] = _CROSS[:, 2] = 1
+_CROSS_TAPS = np.argwhere(_CROSS[::-1, ::-1]).tolist()
 
 
 def cross_mask():
@@ -68,12 +69,12 @@ def cross_mask():
 
 
 def smooth(img, mask=None):
-    """Rounded mean of each plane over the 1-weights of `mask`, a 5x5 integer array of 0s and 1s (default: the cross)."""
+    """Rounded mean of each plane over the 1s of `mask`, a 5x5 integer array of 0s and 1s (default: the cross)."""
     weights = _CROSS if mask is None else np.asarray(mask)
     if weights.shape != (5, 5) or weights.dtype.kind not in "iu" or weights.min() < 0 or weights.max() != 1:
         raise ValueError(f"filter mask must be a 5x5 integer array of 0/1 weights with at least one 1, "
                          f"got {weights.dtype} of shape {weights.shape}")
-    return Image(_stencil(img.pixels, weights))
+    return Image(_tap_mean(img.pixels, np.argwhere(weights[::-1, ::-1]).tolist()))
 
 
 def combine(original, quantized, smoothed_quantized):
@@ -101,7 +102,7 @@ def _filter(pixels, strategy):
     quantized = make_quantizer(strategy.intervals).table.take(pixels)
     if not strategy.smooth:
         return quantized, None, quantized
-    smoothed = _stencil(quantized, _CROSS)
+    smoothed = _tap_mean(quantized, _CROSS_TAPS)
     return quantized, smoothed, _combine(pixels, quantized, smoothed)
 
 

@@ -16,16 +16,17 @@ from .image import Image
 
 @dataclass(frozen=True)
 class DenoiseStrategy:
-    """Interval count plus whether the quantized image is also smoothed."""
+    """Interval count of the quantizer; the quantized image is also smoothed exactly when it is 6."""
 
     intervals: int
-    smooth: bool
 
     def __post_init__(self):
         if self.intervals not in (2, 4, 6):
             raise ValueError(f"interval count must be 2, 4, or 6, got {self.intervals}")
-        if self.smooth != (self.intervals == 6):
-            raise ValueError("smoothing is applied exactly when intervals == 6")
+
+    @property
+    def smooth(self):
+        return self.intervals == 6
 
 
 @dataclass(frozen=True)
@@ -36,41 +37,8 @@ class EntropyProfile:
     per_plane: tuple
 
 
-def _plane_array(plane):
-    """The (H, W) uint8 array of a single-plane Image, or of a 2-D array that Image accepts."""
-    if not isinstance(plane, Image):
-        if np.ndim(plane) != 2:
-            raise ValueError("expected a 2-D plane")
-        plane = Image(plane)
-    if plane.planes != 1:
-        raise ValueError("expected a single-plane image")
-    return plane.pixels[:, :, 0]
-
-
-_BOX = np.ones((5, 5), dtype=np.int64)
-
-
-def _add_across(acc, rows, weight_row):
-    """acc += the taps of one 0/1 weight row applied across `rows` (a stack of padded rows)."""
-    width = acc.shape[1]
-    for j, wt in enumerate(weight_row):
-        if wt:
-            acc += rows[:, 4 - j:4 - j + width]
-
-
-def _stencil(pixels, weights):
-    """Normalized 5x5 0/1 stencil over every plane of an (H, W, P) uint8 array.
-
-    out[x, y] = round(sum_{s,t} w[s + 2, t + 2] f(x - s, y - t) / n), with
-    every weight 0 or 1 and n = sum(w) >= 1 taps, replicate-padded, in exact
-    integer arithmetic. Halves round up, which is away from zero for these
-    nonnegative sums.
-
-    The sums run in int16: at most 25 taps of 255 keep every partial sum
-    and the rounding numerator 2 * acc + n below 2**15. A weight row that
-    occurs more than once is summed across the padded image once and added
-    down at each of its offsets; a row that occurs once is added tap by tap.
-    """
+def _pad(pixels):
+    """An (H, W, P) uint8 array replicate-padded by 2 on every side."""
     h, w, planes = pixels.shape
     # replicate padding by hand: np.pad's fixed overhead is a third of the whole
     # stencil on a 28x28 plane. uint8 keeps the padded copy small enough for cache.
@@ -78,35 +46,48 @@ def _stencil(pixels, weights):
     padded[2:-2, 2:-2] = pixels
     padded[:2, 2:-2], padded[-2:, 2:-2] = pixels[:1], pixels[-1:]
     padded[:, :2], padded[:, -2:] = padded[:, 2:3], padded[:, -3:-2]
-    rows = weights.tolist()
-    n = sum(map(sum, rows))
-    acc = np.zeros(pixels.shape, dtype=np.int16)
-    across = {}
-    for i, row in enumerate(rows):
-        if rows.count(row) == 1:
-            _add_across(acc, padded[4 - i:4 - i + h], row)
-        elif any(row):
-            key = tuple(row)
-            if key not in across:
-                if sum(row) == 1:  # one tap: a view, no sum
-                    j = row.index(1)
-                    across[key] = padded[:, 4 - j:4 - j + w]
-                else:
-                    across[key] = np.zeros((h + 4, w, planes), dtype=np.int16)
-                    _add_across(across[key], padded, row)
-            acc += across[key][4 - i:4 - i + h]
+    return padded
+
+
+def _window_sum(a, offsets, h, w):
+    """The int16 sum of the (h, w) windows of `a` that start at each (row, column) offset."""
+    (i, j), *rest = offsets
+    # at most 25 taps of 255 keep every partial sum and the rounding numerator 2 * acc + n below 2**15
+    acc = a[i:i + h, j:j + w].astype(np.int16)
+    for i, j in rest:
+        acc += a[i:i + h, j:j + w]
+    return acc
+
+
+def _rounded_mean(acc, n):
+    """acc / n as uint8 with halves rounded up, which is away from zero for these nonnegative sums."""
     return ((2 * acc + n) // (2 * n)).astype(np.uint8)
 
 
-def neighborhood_average(plane):
-    """Rounded mean over each pixel's 5x5 neighborhood, replicate-padded.
+def _box_mean(pixels):
+    """Rounded 5x5 box mean of each plane of an (H, W, P) uint8 array: 5 taps across each padded row, then 5 down."""
+    h, w, _ = pixels.shape
+    across = _window_sum(_pad(pixels), [(0, j) for j in range(5)], h + 4, w)
+    return _rounded_mean(_window_sum(across, [(i, 0) for i in range(5)], h, w), 25)
 
-    Accepts a single-plane Image or a 2-D uint8 array and returns the same
-    kind. Rounding is half away from zero, done in exact integer arithmetic.
+
+def _tap_mean(pixels, taps):
+    """Rounded mean of each plane of an (H, W, P) uint8 array over the n >= 1 ones of a 5x5 mask w, replicate-padded.
+
+    out[x, y] = round(sum_{s,t} w[s + 2, t + 2] f(x - s, y - t) / n); taps = np.argwhere(w[::-1, ::-1]).
     """
-    arr = _plane_array(plane)
-    avg = _stencil(arr[:, :, None], _BOX)[:, :, 0]
-    return Image(avg) if isinstance(plane, Image) else avg
+    h, w, _ = pixels.shape
+    return _rounded_mean(_window_sum(_pad(pixels), taps, h, w), len(taps))
+
+
+def neighborhood_average(plane):
+    """Rounded mean over each pixel's 5x5 neighborhood, replicate-padded, half away from zero.
+
+    Takes a 2-D array of pixel values, checked as Image checks pixels, and returns a 2-D uint8 array.
+    """
+    if np.ndim(plane) != 2:  # an Image, too, is not a 2-D array
+        raise ValueError("expected a 2-D plane")
+    return _box_mean(Image(plane).pixels)[:, :, 0]
 
 
 def _profiles(stack, planes):
@@ -123,7 +104,7 @@ def _profiles(stack, planes):
     """
     h, w, depth = stack.shape
     codes = np.left_shift(stack, 8, dtype=np.uint16)
-    codes |= _stencil(stack, _BOX)
+    codes |= _box_mean(stack)
     codes = np.ascontiguousarray(codes.reshape(h * w, depth).T)
     codes.sort(axis=1)
     codes = codes.ravel()
@@ -158,8 +139,4 @@ def select_strategy(profile):
     h = profile.h2d if isinstance(profile, EntropyProfile) else float(profile)
     if not math.isfinite(h):
         raise ValueError(f"entropy must be finite, got {h}")
-    if h > 9.50:
-        return DenoiseStrategy(6, True)
-    if h >= 8.50:
-        return DenoiseStrategy(4, False)
-    return DenoiseStrategy(2, False)
+    return DenoiseStrategy(6 if h > 9.50 else 4 if h >= 8.50 else 2)

@@ -1,3 +1,4 @@
+import io
 import math
 import stat
 import struct
@@ -213,6 +214,14 @@ class TestTraining:
     def test_rate_and_range_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match="learning rate must be finite and positive"):
             ag.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("batch_size", 2.5), ("seed", 1.5), ("epochs", True), ("seed", "1"), ("batch_size", None),
+    ])
+    def test_non_integer_counts_and_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ag.TrainConfig(**{field: value})
+        assert getattr(ag.TrainConfig(**{field: np.int64(3)}), field) == 3
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
@@ -447,6 +456,14 @@ class TestExternalClassifier:
     def test_unsplittable_command_rejected_at_construction(self, command, message):
         with pytest.raises(ValueError, match=message):
             ag.ExternalClassifier(command)
+
+    @pytest.mark.parametrize("command", [None, b"ls", ["ls"]], ids=["none", "bytes", "list"])
+    def test_non_string_command_rejected(self, command, monkeypatch):
+        stdin = io.StringIO("ls -l\n")  # shlex.split(None) would take its words from here
+        monkeypatch.setattr(sys, "stdin", stdin)
+        with pytest.raises(ValueError, match=f"^classifier command must be a string, got {type(command).__name__}$"):
+            ag.ExternalClassifier(command)
+        assert stdin.tell() == 0
 
     def test_adapter_hands_real_image_file(self, tmp_path):
         # stub answers from the image itself: reads the PGM payload's first byte

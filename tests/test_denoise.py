@@ -154,13 +154,25 @@ class TestSmooth:
     @pytest.mark.parametrize("planes", [1, 3])
     def test_box_mask_is_neighborhood_average(self, planes):
         box = np.ones((5, 5), dtype=int)
-        px = np.random.default_rng(planes).integers(0, 256, size=(9, 11, planes)).astype(np.uint8)
-        got = ag.smooth(ag.Image(px), box).pixels
-        for k in range(planes):
-            assert np.array_equal(got[:, :, k], ag.neighborhood_average(px[:, :, k]))
+        rng = np.random.default_rng(planes)
+        # below 5x5 both passes of the box sum read padding
+        for shape in [(9, 11), (1, 1), (1, 7), (7, 1), (2, 2)]:
+            px = rng.integers(0, 256, size=shape + (planes,)).astype(np.uint8)
+            got = ag.smooth(ag.Image(px), box).pixels
+            for k in range(planes):
+                assert np.array_equal(got[:, :, k], ag.neighborhood_average(px[:, :, k]))
         # 25 taps at full scale: the largest int16 sum the stencil meets
         full = ag.Image(np.full((7, 8, planes), 255, dtype=np.uint8))
         assert np.all(ag.smooth(full, box).pixels == 255)
+
+    def test_single_tap_orientation(self):
+        mask = np.zeros((5, 5), dtype=int)
+        mask[0, 4] = 1  # w[s + 2, t + 2] with s = -2, t = 2: out[x, y] = f(x + 2, y - 2)
+        plane = np.zeros((9, 9), dtype=np.uint8)
+        plane[4, 4] = 200
+        got = ag.smooth(ag.Image(plane), mask).pixels[:, :, 0]
+        assert got.tolist() == oracles.convolve(plane.tolist(), mask.tolist(), 1)
+        assert list(zip(*np.nonzero(got))) == [(2, 6)]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -238,6 +250,6 @@ class TestAdaptiveFilter:
 
     def test_explicit_strategy_override(self):
         img = ag.Image(np.full((4, 4), 60, dtype=np.uint8))
-        triple = ag.adaptive_filter(img, strategy=ag.DenoiseStrategy(6, True))
+        triple = ag.adaptive_filter(img, strategy=ag.DenoiseStrategy(6))
         assert triple.smoothed_quantized is not None
         assert np.all(triple.quantized.pixels == 50)

@@ -64,7 +64,7 @@ class TestDetect:
         verdict = ag.detect(constant_classifier(), img, sample_id="s1")
         assert verdict.sample_id == "s1"
         assert verdict.h2d == 0.0
-        assert verdict.strategy == ag.DenoiseStrategy(2, False)
+        assert verdict.strategy == ag.DenoiseStrategy(2)
 
     def test_flag_raised_when_label_changes(self):
         verdict = ag.detect(threshold_classifier, flat_image(110))
