@@ -31,12 +31,14 @@ from .classifier import (
     train,
 )
 from .denoise import (
+    DenoiseStrategy,
     FilteredTriple,
     adaptive_filter,
     combine,
     cross_mask,
     make_quantizer,
     quantize,
+    select_strategy,
     smooth,
 )
 from .detector import (
@@ -51,11 +53,9 @@ from .detector import (
     write_report,
 )
 from .entropy import (
-    DenoiseStrategy,
     EntropyProfile,
     entropy_2d,
     neighborhood_average,
-    select_strategy,
 )
 from .image import (
     FormatError,

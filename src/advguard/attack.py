@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _bytes, _check_class, _check_integers, _floats, _forward, _hidden_gradient, _rows
+from .classifier import _bytes, _check_integers, _floats, _forward, _hidden_gradient, _rows
 from .image import Image, _chunks, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -27,10 +27,9 @@ class AttackConfig:
     epsilon: float = 0.10
     variant: str = "full"  # "full" | "topk"
     k: Optional[int] = None
-    target: Optional[int] = None
 
     def __post_init__(self):
-        _check_integers(self, [name for name in ("k", "target") if getattr(self, name) is not None])
+        _check_integers(self, ["k"] if self.k is not None else [])
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.variant not in ("full", "topk"):
@@ -57,8 +56,6 @@ def _check(model, images, config):
         if img.pixels.size != model.input_size:
             raise ValueError(f"dimension mismatch: input has {img.pixels.size} values, "
                              f"model expects {model.input_size}")
-    if config.target is not None:
-        _check_class(model, config.target)
     if config.variant == "topk" and config.k > model.input_size:
         raise ValueError(f"k={config.k} exceeds pixel count {model.input_size}")
 
@@ -75,9 +72,8 @@ def _fgsm(model, images, config):
     X = _floats(_rows(images))
     z1, _, p = _forward(model, X)
     original = p.argmax(axis=1)
-    c = original if config.target is None else np.full(len(X), config.target)
-    # cross-entropy against class c, back through the hidden layer to the pixels
-    grad = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[c]) @ model.w1.T
+    # cross-entropy against the original label, back through the hidden layer to the pixels
+    grad = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[original]) @ model.w1.T
     delta = config.epsilon * np.sign(grad)
     if config.variant == "topk":
         order = np.argsort(-np.abs(grad), axis=1, kind="stable")

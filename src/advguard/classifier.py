@@ -13,7 +13,7 @@ import struct
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,8 @@ class TrainConfig:
         _check_integers(self, ("epochs", "batch_size", "seed"))
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
+        if self.seed < 0:  # numpy's generator would refuse it only after the dataset is converted
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
 
@@ -329,6 +331,13 @@ class ModelClassifier:
         return PredictionVector._batch(_forward(self.model, _floats(_rows(images)))[2])
 
 
+def _check_timeout(timeout):
+    """timeout itself when it is None or a finite real number > 0 that is not a bool, else a ValueError naming it."""
+    if timeout is None or isinstance(timeout, Real) and not isinstance(timeout, bool) and 0 < timeout < math.inf:
+        return timeout
+    raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
+
+
 class ExternalClassifier:
     """Adapter: classify stored Images through an external command.
 
@@ -337,7 +346,7 @@ class ExternalClassifier:
     must exit 0 and print whitespace-separated nonnegative confidences summing
     to 1 within 1e-3. Once it has timed out, later calls fail at once without
     running it. A command that is not a str, cannot be split into words, or
-    whose first word is empty is a ValueError here.
+    whose first word is empty is a ValueError here, as is any other timeout.
     """
 
     def __init__(self, command, timeout=None):
@@ -347,7 +356,7 @@ class ExternalClassifier:
         self._argv = shlex.split(command)  # a ValueError of its own on an unclosed quote or a trailing backslash
         if not self._argv or not self._argv[0]:
             raise ValueError(f"classifier command {command!r} names no program")
-        self.timeout = timeout
+        self.timeout = _check_timeout(timeout)
         self._timed_out = None  # the timeout message, once the command has run past it
 
     def __call__(self, img):

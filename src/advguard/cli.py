@@ -7,7 +7,6 @@ errors during eval, 4 classifier errors during detect/eval.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -49,9 +48,10 @@ def _nonnegative_int(text):
 
 def _positive_seconds(text):
     value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+    try:  # the check ExternalClassifier makes, made before any image is read
+        return clf._check_timeout(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _nonblank(text):
@@ -75,14 +75,14 @@ def _make_classify(args):
 
 def _cmd_entropy(args):
     profile = entropy.entropy_2d(_load_image(args.image))
-    strategy = entropy.select_strategy(profile)
+    strategy = denoise.select_strategy(profile)
     print(f"h2d={profile.h2d:.4f} intervals={strategy.intervals} smooth={_bool(strategy.smooth)}")
     return 0
 
 
 def _cmd_filter(args):
     img = _load_image(args.input)
-    strategy = entropy.select_strategy(entropy.entropy_2d(img))
+    strategy = denoise.select_strategy(entropy.entropy_2d(img))
     triple = denoise.adaptive_filter(img, strategy=strategy)
     chosen = {"quantized": triple.quantized, "smoothed": triple.smoothed_quantized, "combined": triple.combined}[args.stage]
     if chosen is None:

@@ -1,28 +1,65 @@
-"""Scalar quantization, cross-mask smoothing, and the combined denoising filter.
+"""The filter's three settings, scalar quantization, cross-mask smoothing, and the combined denoising filter.
 
-The adaptive filter quantizes every input; images above the high-entropy
-threshold are additionally smoothed, and the final output keeps, per pixel,
+select_strategy maps an image's 2-D entropy to 2, 4 or 6 quantizer
+intervals. The adaptive filter quantizes every input; the 6-interval
+setting additionally smooths, and the final output keeps, per pixel,
 whichever candidate (quantized or smoothed-quantized) stays closer to the
 original intensity. Ties keep the quantized value.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .entropy import _tap_mean, entropy_2d, select_strategy
+from .entropy import EntropyProfile, _tap_mean, entropy_2d
 from .image import Image
+
+# the uniform left-value quantizer's step per interval count; with 6 intervals the last one is the short [250, 255]
+_STEPS = {2: 128, 4: 64, 6: 50}
+# each byte's codeword, one shared table per count; np.frombuffer over bytes makes it read-only
+_TABLES = {n: np.frombuffer(bytes(v // step * step for v in range(256)), np.uint8) for n, step in _STEPS.items()}
 
 
 @dataclass(frozen=True)
-class Quantizer:
-    """One of the three uniform quantizers that make_quantizer builds; ``table`` maps each byte to its codeword."""
+class DenoiseStrategy:
+    """The uniform left-value quantizer with 2, 4 or 6 intervals; its image is also smoothed exactly when it is 6.
+
+    ``table`` maps each byte to its codeword; ``codebook`` lists (lower, upper, codeword) per interval.
+    """
 
     intervals: int
-    codebook: tuple  # (lower, upper, codeword) per interval
-    table: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.intervals not in (2, 4, 6):
+            raise ValueError(f"interval count must be 2, 4, or 6, got {self.intervals}")
+
+    @property
+    def smooth(self):
+        return self.intervals == 6
+
+    @property
+    def table(self):
+        return _TABLES[self.intervals]
+
+    @property
+    def codebook(self):
+        step = _STEPS[self.intervals]
+        return tuple((lo, min(lo + step - 1, 255), lo) for lo in range(0, 256, step))
+
+
+def select_strategy(profile):
+    """Pick the denoising strategy for a 2-D entropy value.
+
+    Above 9.50 bits: 6 intervals with smoothing; 8.50 through 9.50
+    inclusive: 4 intervals; below 8.50: 2 intervals. Accepts an
+    EntropyProfile or a bare entropy value, which must be finite.
+    """
+    h = profile.h2d if isinstance(profile, EntropyProfile) else float(profile)
+    if not math.isfinite(h):
+        raise ValueError(f"entropy must be finite, got {h}")
+    return DenoiseStrategy(6 if h > 9.50 else 4 if h >= 8.50 else 2)
 
 
 @dataclass(eq=False)
@@ -34,28 +71,14 @@ class FilteredTriple:
     combined: Image
 
 
-@lru_cache(maxsize=None)
 def make_quantizer(intervals):
-    """The uniform left-value quantizer with 2, 4, or 6 intervals, built once per count.
-
-    Steps are 128, 64, and 50; with 6 intervals the last interval is the
-    short [250, 255] one.
-    """
-    steps = {2: 128, 4: 64, 6: 50}
-    if intervals not in steps:
-        raise ValueError(f"unsupported interval count: {intervals}")
-    step = steps[intervals]
-    codebook = tuple(
-        (lo, min(lo + step - 1, 255), lo) for lo in range(0, 256, step)
-    )
-    table = (np.arange(256) // step * step).astype(np.uint8)
-    table.flags.writeable = False
-    return Quantizer(intervals, codebook, table)
+    """The DenoiseStrategy with 2, 4 or 6 intervals, whose table and codebook are that quantizer."""
+    return DenoiseStrategy(intervals)
 
 
-def quantize(img, q):
-    """Replace every pixel with its interval's codeword via a 256-entry table."""
-    return Image(q.table.take(img.pixels))
+def quantize(img, strategy):
+    """Replace every pixel with its interval's codeword via the strategy's 256-entry table."""
+    return Image(strategy.table.take(img.pixels))
 
 
 _CROSS = np.zeros((5, 5), dtype=np.int64)
@@ -99,7 +122,7 @@ def _filter(pixels, strategy):
     Every stage works per plane or per pixel, so K may hold the planes of
     many images side by side.
     """
-    quantized = make_quantizer(strategy.intervals).table.take(pixels)
+    quantized = strategy.table.take(pixels)
     if not strategy.smooth:
         return quantized, None, quantized
     smoothed = _tap_mean(quantized, _CROSS_TAPS)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .denoise import _filter
-from .entropy import DenoiseStrategy, _profiles, select_strategy
+from .denoise import DenoiseStrategy, _filter, select_strategy
+from .entropy import _profiles
 from .image import FormatError, Image, _chunks, read_pgm_ppm
 
 REPORT_HEADER = ("id", "kind", "original_label", "denoised_label", "flagged", "h2d", "intervals", "smoothed")

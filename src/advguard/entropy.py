@@ -1,32 +1,16 @@
-"""Two-dimensional image entropy and denoising-strategy selection.
+"""Two-dimensional image entropy and the 5x5 window sums behind it.
 
 The 2-D entropy is the Shannon entropy of the joint distribution of
-(pixel value, rounded 5x5 neighborhood average). It drives how hard an
-image is denoised: high-entropy images get a fine quantizer plus
-smoothing, low-entropy ones an aggressive two-interval quantizer.
+(pixel value, rounded 5x5 neighborhood average). denoise.select_strategy
+turns it into a filter setting; the same window sums also give the
+filter's smoothing.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .image import Image
-
-
-@dataclass(frozen=True)
-class DenoiseStrategy:
-    """Interval count of the quantizer; the quantized image is also smoothed exactly when it is 6."""
-
-    intervals: int
-
-    def __post_init__(self):
-        if self.intervals not in (2, 4, 6):
-            raise ValueError(f"interval count must be 2, 4, or 6, got {self.intervals}")
-
-    @property
-    def smooth(self):
-        return self.intervals == 6
 
 
 @dataclass(frozen=True)
@@ -128,15 +112,3 @@ def entropy_2d(img):
     """2-D entropy of an image, per plane and averaged across planes."""
     return _profiles(img.pixels, img.planes)[0]
 
-
-def select_strategy(profile):
-    """Pick the denoising strategy for a 2-D entropy value.
-
-    Above 9.50 bits: 6 intervals with smoothing; 8.50 through 9.50
-    inclusive: 4 intervals; below 8.50: 2 intervals. Accepts an
-    EntropyProfile or a bare entropy value, which must be finite.
-    """
-    h = profile.h2d if isinstance(profile, EntropyProfile) else float(profile)
-    if not math.isfinite(h):
-        raise ValueError(f"entropy must be finite, got {h}")
-    return DenoiseStrategy(6 if h > 9.50 else 4 if h >= 8.50 else 2)

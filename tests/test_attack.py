@@ -53,16 +53,14 @@ class TestAttackConfig:
         assert ag.AttackConfig(variant="topk", k=50).k == 50
 
     @pytest.mark.parametrize("fields", [
-        {"target": 1.0}, {"target": True}, {"target": "1"},
         {"variant": "topk", "k": 2.5}, {"variant": "topk", "k": True}, {"k": 1.0},
-    ], ids=["float-target", "bool-target", "str-target", "float-k", "bool-k", "float-k-full"])
+    ], ids=["float-k", "bool-k", "float-k-full"])
     def test_non_integer_target_or_k_rejected(self, fields):
-        name = "target" if "target" in fields else "k"
-        with pytest.raises(ValueError, match=f"{name} must be an integer, got {fields[name]!r}"):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {fields['k']!r}"):
             ag.AttackConfig(epsilon=0.2, **fields)
 
     def test_numpy_integers_accepted(self):
-        config = ag.AttackConfig(variant="topk", k=np.int64(2), target=np.int32(1))
+        config = ag.AttackConfig(variant="topk", k=np.int64(2))
         model = ag.ClassifierModel(np.ones((16, 4)), np.zeros(4), np.eye(4, 3), np.zeros(3))
         ex = ag.craft(model, ag.Image(np.arange(16, dtype=np.uint8).reshape(4, 4)), config)
         assert np.count_nonzero(ex.perturbation) <= 2
@@ -102,17 +100,6 @@ class TestFgsm:
         assert a.adversarial == b.adversarial
         assert (a.original_label, a.adversarial_label) == (b.original_label, b.adversarial_label)
 
-    def test_explicit_target_class(self, synth_model, synth_data):
-        img = synth_data[0][5]
-        ex = ag.craft(synth_model, img, ag.AttackConfig(epsilon=0.2, target=2))
-        assert ex.original_label == ag.forward(synth_model, img).label()
-
-    @pytest.mark.parametrize("target", [-1, 4])
-    def test_target_out_of_range(self, synth_model, synth_data, target):
-        config = ag.AttackConfig(epsilon=0.2, target=target)
-        with pytest.raises(ValueError, match=f"class index {target} out of range 0..3"):
-            ag.craft(synth_model, synth_data[0][0], config)
-
     @pytest.mark.filterwarnings("error")  # the error comes first: numpy does not warn on the way
     def test_overflowing_model_raises_before_committing_bytes(self, tmp_path):
         model = ag.ClassifierModel(np.full((64, 8), 1e308), np.zeros(8), np.full((8, 4), 1e308), np.zeros(4))
@@ -124,11 +111,11 @@ class TestFgsm:
             ag.build_attack_corpus(model, [img] * 3, None, ag.AttackConfig(epsilon=0.1), tmp_path / "c")
         assert not list((tmp_path / "c").iterdir())
 
-    @pytest.mark.parametrize("target", [None, 1])
+    @pytest.mark.parametrize("target", [None])
     def test_moves_along_the_input_gradient_sign(self, synth_model, synth_data, target):
-        config = ag.AttackConfig(epsilon=0.2, target=target)
+        config = ag.AttackConfig(epsilon=0.2)
         for img in synth_data[0][:10]:
-            c = ag.forward(synth_model, img).label() if target is None else target
+            c = ag.forward(synth_model, img).label()
             step = config.epsilon * np.sign(ag.input_gradient(synth_model, img, c))
             assert ag.craft(synth_model, img, config).adversarial == committed(img, step)
 
@@ -180,9 +167,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("config, effectual, digest", [
         (ag.AttackConfig(epsilon=0.3, variant="topk", k=50), 15,
          "1854908edbb024c02867ce773147b196d746bbe9cbc7ef1a303658b33cd59e49"),
-        (ag.AttackConfig(epsilon=0.1, target=3), 9,
-         "74b4aae527484cc71a0b9569850dbe9027962de80a12041b3ddfbc1cc4db8c74"),
-    ], ids=["topk", "target"])
+    ], ids=["topk"])
     def test_digest(self, config, effectual, digest):
         train_x, train_y = template_digits(300, seed=3, noise=60.0)
         model = ag.train(train_x, train_y, ag.TrainConfig(epochs=3, seed=42), hidden=32)
@@ -242,11 +227,9 @@ class TestCorpus:
         assert summary.skipped == 10 - expected_attacked
 
     @pytest.mark.parametrize("fields, size, message", [
-        ({"target": 4}, 8, "class index 4 out of range 0..3"),
-        ({"target": -1}, 8, "class index -1 out of range 0..3"),
         ({"variant": "topk", "k": 65}, 8, "k=65 exceeds pixel count 64"),
         ({}, 7, "input has 49 values, model expects 64"),
-    ], ids=["target-high", "target-low", "k-above-pixels", "image-size"])
+    ], ids=["k-above-pixels", "image-size"])
     def test_attack_errors_raised_before_writing(self, synth_model, synth_data, tmp_path, fields, size, message):
         images = synth_data[0][:10] + template_digits(1, size=size, classes=4)[0]
         with pytest.raises(ValueError, match=message):
@@ -273,7 +256,7 @@ def serial_corpus(model, images, labels, config):
             skipped += 1
             continue
         attacked += 1
-        grad = ag.input_gradient(model, img, original if config.target is None else config.target)
+        grad = ag.input_gradient(model, img, original)
         step = config.epsilon * np.sign(grad)
         if config.variant == "topk":
             keep = np.zeros(grad.size, dtype=bool)
@@ -313,9 +296,7 @@ class TestBatchedAgainstSerial:
     @pytest.mark.parametrize("config", [
         ag.AttackConfig(epsilon=0.3),
         ag.AttackConfig(epsilon=0.5, variant="topk", k=50),
-        ag.AttackConfig(epsilon=0.3, target=2),
-        ag.AttackConfig(epsilon=0.5, variant="topk", k=50, target=1),
-    ], ids=["full", "topk", "target", "topk-target"])
+    ], ids=["full", "topk"])
     @pytest.mark.parametrize("kind", ["big", "mixed-shapes", "rgb"])
     def test_same_corpus(self, inputs, kind, config, tmp_path):
         model, images, labels = inputs[kind]

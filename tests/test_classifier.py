@@ -223,6 +223,11 @@ class TestTraining:
             ag.TrainConfig(**{field: value})
         assert getattr(ag.TrainConfig(**{field: np.int64(3)}), field) == 3
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            ag.TrainConfig(seed=-1)
+        assert ag.TrainConfig(seed=0).seed == 0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
             ag.train([], [], ag.TrainConfig())
@@ -456,6 +461,15 @@ class TestExternalClassifier:
     def test_unsplittable_command_rejected_at_construction(self, command, message):
         with pytest.raises(ValueError, match=message):
             ag.ExternalClassifier(command)
+
+    @pytest.mark.parametrize("timeout", ["5", 0, -1, math.nan, math.inf, True])
+    def test_bad_timeout_rejected_at_construction(self, timeout):
+        with pytest.raises(ValueError, match=f"^timeout must be a finite number of seconds > 0, got {timeout!r}$"):
+            ag.ExternalClassifier("true", timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [None, 0.5, 2, np.float64(1.5)])
+    def test_finite_positive_timeout_accepted(self, timeout):
+        assert ag.ExternalClassifier("true", timeout=timeout).timeout == timeout
 
     @pytest.mark.parametrize("command", [None, b"ls", ["ls"]], ids=["none", "bytes", "list"])
     def test_non_string_command_rejected(self, command, monkeypatch):

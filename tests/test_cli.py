@@ -141,6 +141,15 @@ class TestTrainCommand:
         assert "learning rate must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
 
+    def test_negative_seed_rejected(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--images", str(pipeline["images"]), "--labels", str(pipeline["labels"]),
+            "--model", str(tmp_path / "m.bin"), "--seed", "-1",
+        ])
+        assert rc == 1
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestAttackCommand:
     def test_summary_and_manifest(self, pipeline, capsys, tmp_path):
@@ -361,4 +370,4 @@ class TestUsage:
     @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
     def test_nonpositive_timeout_rejected(self, tmp_path, seconds, capsys):
         assert main(["detect", "--external", "cmd", "--timeout", seconds, str(tmp_path / "x.pgm")]) == 2
-        assert "--timeout: must be finite and > 0" in capsys.readouterr().err
+        assert "--timeout: timeout must be a finite number of seconds > 0" in capsys.readouterr().err

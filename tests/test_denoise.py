@@ -44,19 +44,20 @@ class TestQuantizer:
             assert np.array_equal(ag.quantize(img, q).pixels, expected)
 
     def test_unsupported_interval_count(self):
-        with pytest.raises(ValueError, match="unsupported"):
+        with pytest.raises(ValueError, match="^interval count must be 2, 4, or 6, got 3$"):
             ag.make_quantizer(3)
 
     def test_table_built_once_per_quantizer(self):
         q = ag.make_quantizer(4)
-        assert ag.make_quantizer(4) is q
+        assert q == ag.DenoiseStrategy(4)
+        assert ag.DenoiseStrategy(4).table is ag.DenoiseStrategy(4).table
         assert q.table.tolist() == [v // 64 * 64 for v in range(256)]
         assert not q.table.flags.writeable
 
-    @pytest.mark.parametrize("intervals", [2, 4, 6])
-    def test_codebook_agrees_with_table(self, intervals):
+    @pytest.mark.parametrize("q", [pytest.param(ag.make_quantizer(n), id=str(n)) for n in (2, 4, 6)] +
+                             [pytest.param(ag.select_strategy(h), id=f"h2d={h}") for h in (8.49, 9.0, 9.51)])
+    def test_codebook_agrees_with_table(self, q):
         # the table is built apart from the codebook: each interval runs on from the last and maps to its codeword
-        q = ag.make_quantizer(intervals)
         assert q.intervals == len(q.codebook)
         start = 0
         for lo, hi, code in q.codebook:
