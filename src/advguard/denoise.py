@@ -8,6 +8,7 @@ original intensity. Ties keep the quantized value.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,8 +33,9 @@ class DenoiseStrategy:
     intervals: int
 
     def __post_init__(self):
-        if self.intervals not in (2, 4, 6):
+        if not isinstance(self.intervals, numbers.Integral) or self.intervals not in _STEPS:  # True is 1: refused
             raise ValueError(f"interval count must be 2, 4, or 6, got {self.intervals}")
+        object.__setattr__(self, "intervals", int(self.intervals))
 
     @property
     def smooth(self):
@@ -47,6 +49,9 @@ class DenoiseStrategy:
     def codebook(self):
         step = _STEPS[self.intervals]
         return tuple((lo, min(lo + step - 1, 255), lo) for lo in range(0, 256, step))
+
+    def _codewords(self, pixels):  # quantize on a uint8 array, in uint8: no codeword exceeds 250, so nothing wraps
+        return pixels // _STEPS[self.intervals] * _STEPS[self.intervals]
 
 
 def select_strategy(profile):
@@ -77,8 +82,8 @@ def make_quantizer(intervals):
 
 
 def quantize(img, strategy):
-    """Replace every pixel with its interval's codeword via the strategy's 256-entry table."""
-    return Image(strategy.table.take(img.pixels))
+    """Replace every pixel with its interval's codeword: v // step * step, the same bytes as the strategy's table."""
+    return Image(strategy._codewords(img.pixels))
 
 
 _CROSS = np.zeros((5, 5), dtype=np.int64)
@@ -101,19 +106,16 @@ def smooth(img, mask=None):
 
 
 def combine(original, quantized, smoothed_quantized):
-    """Per pixel, keep whichever candidate is closer to the original.
-
-    Ties go to the quantized value.
-    """
+    """Per pixel, keep whichever candidate is closer to the original; ties go to the quantized value."""
     if not (original.pixels.shape == quantized.pixels.shape == smoothed_quantized.pixels.shape):
         raise ValueError("shape mismatch between original and filtered images")
     return Image(_combine(original.pixels, quantized.pixels, smoothed_quantized.pixels))
 
 
-def _combine(original, quantized, smoothed):
-    """combine on uint8 arrays of one shape."""
-    f, q, s = (a.astype(np.int16) for a in (original, quantized, smoothed))
-    return np.where(np.abs(q - f) <= np.abs(s - f), q, s).astype(np.uint8)
+def _combine(f, q, s):
+    """combine on uint8 arrays of one shape, without a branch: uint8 differences wrap, so s + (q - s) is exactly q."""
+    keep = np.maximum(q, f) - np.minimum(q, f) <= np.maximum(s, f) - np.minimum(s, f)
+    return s + (q - s) * keep
 
 
 def _filter(pixels, strategy):
@@ -122,7 +124,7 @@ def _filter(pixels, strategy):
     Every stage works per plane or per pixel, so K may hold the planes of
     many images side by side.
     """
-    quantized = strategy.table.take(pixels)
+    quantized = strategy._codewords(pixels)
     if not strategy.smooth:
         return quantized, None, quantized
     smoothed = _tap_mean(quantized, _CROSS_TAPS)

@@ -36,7 +36,7 @@ def _pad(pixels):
 def _window_sum(a, offsets, h, w):
     """The int16 sum of the (h, w) windows of `a` that start at each (row, column) offset."""
     (i, j), *rest = offsets
-    # at most 25 taps of 255 keep every partial sum and the rounding numerator 2 * acc + n below 2**15
+    # at most 25 taps of 255 keep every partial sum and the rounding numerator acc + n // 2 below 2**15
     acc = a[i:i + h, j:j + w].astype(np.int16)
     for i, j in rest:
         acc += a[i:i + h, j:j + w]
@@ -44,8 +44,8 @@ def _window_sum(a, offsets, h, w):
 
 
 def _rounded_mean(acc, n):
-    """acc / n as uint8 with halves rounded up, which is away from zero for these nonnegative sums."""
-    return ((2 * acc + n) // (2 * n)).astype(np.uint8)
+    """acc / n as uint8, halves rounded up: acc + n // 2 floors like acc + n / 2, as no multiple of n lies between."""
+    return ((acc + n // 2) // n).astype(np.uint8)
 
 
 def _box_mean(pixels):

@@ -55,7 +55,7 @@ class TestAttackConfig:
     @pytest.mark.parametrize("fields", [
         {"variant": "topk", "k": 2.5}, {"variant": "topk", "k": True}, {"k": 1.0},
     ], ids=["float-k", "bool-k", "float-k-full"])
-    def test_non_integer_target_or_k_rejected(self, fields):
+    def test_non_integer_k_rejected(self, fields):
         with pytest.raises(ValueError, match=f"k must be an integer, got {fields['k']!r}"):
             ag.AttackConfig(epsilon=0.2, **fields)
 
@@ -111,8 +111,7 @@ class TestFgsm:
             ag.build_attack_corpus(model, [img] * 3, None, ag.AttackConfig(epsilon=0.1), tmp_path / "c")
         assert not list((tmp_path / "c").iterdir())
 
-    @pytest.mark.parametrize("target", [None])
-    def test_moves_along_the_input_gradient_sign(self, synth_model, synth_data, target):
+    def test_moves_along_the_input_gradient_sign(self, synth_model, synth_data):
         config = ag.AttackConfig(epsilon=0.2)
         for img in synth_data[0][:10]:
             c = ag.forward(synth_model, img).label()

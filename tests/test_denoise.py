@@ -1,3 +1,7 @@
+import hashlib
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
+from advguard.denoise import _combine
 
 SIX_INTERVAL_CODEBOOK = (
     (0, 49, 0),
@@ -18,6 +23,45 @@ SIX_INTERVAL_CODEBOOK = (
 
 def image_from(values):
     return ag.Image(np.array(values, dtype=np.uint8))
+
+
+class TestSelectStrategy:
+    def test_photo_like_entropy_gets_smoothing(self):
+        strategy = ag.select_strategy(13.13)
+        assert strategy == ag.DenoiseStrategy(6)
+
+    def test_band_boundaries(self):
+        assert ag.select_strategy(9.50).intervals == 4
+        assert ag.select_strategy(8.50).intervals == 4
+        assert not ag.select_strategy(9.50).smooth
+
+    def test_constant_image_gets_two_intervals(self):
+        assert ag.select_strategy(0.0) == ag.DenoiseStrategy(2)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entropy_rejected(self, h):
+        with pytest.raises(ValueError, match="entropy must be finite"):
+            ag.select_strategy(h)
+        with pytest.raises(ValueError, match="entropy must be finite"):
+            ag.select_strategy(ag.EntropyProfile(h, (h,)))
+
+    def test_strategy_invariant_enforced(self):
+        for n in (2, 4, 6):
+            assert ag.DenoiseStrategy(n).smooth is (n == 6)
+        with pytest.raises(AttributeError):
+            ag.DenoiseStrategy(6).smooth = False
+        with pytest.raises(ValueError, match="interval count"):
+            ag.DenoiseStrategy(3)
+
+    @pytest.mark.parametrize("count", [6.0, np.float64(4), True, "6"], ids=["float", "numpy-float", "bool", "str"])
+    def test_non_integer_interval_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"^interval count must be 2, 4, or 6, got {re.escape(str(count))}$"):
+            ag.DenoiseStrategy(count)
+
+    def test_numpy_integer_count_reads_back_as_int(self):
+        strategy = ag.DenoiseStrategy(np.int64(4))
+        assert repr(strategy) == "DenoiseStrategy(intervals=4)" and type(strategy.intervals) is int
+        assert strategy == ag.DenoiseStrategy(4) and hash(strategy) == hash(ag.DenoiseStrategy(4))
 
 
 class TestQuantizer:
@@ -65,6 +109,12 @@ class TestQuantizer:
             assert q.table[lo:hi + 1].tolist() == [code] * (hi - lo + 1)
             start = hi + 1
         assert start == 256
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_arithmetic_matches_table_on_every_byte(self, n):
+        every_byte = np.arange(256, dtype=np.uint8)
+        got = ag.DenoiseStrategy(n)._codewords(every_byte)
+        assert got.dtype == np.uint8 and np.array_equal(got, ag.DenoiseStrategy(n).table.take(every_byte))
 
     def test_codeword_constant_unchanged(self):
         img = ag.Image(np.full((4, 4), 200, dtype=np.uint8))
@@ -212,7 +262,49 @@ class TestCombine:
         assert np.array_equal(out[ties], q.astype(int)[ties])
 
 
+    def test_branch_free_form_matches_int16_where_on_every_triple(self):
+        q, s = (a.astype(np.uint8) for a in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+        for v in range(256):
+            f = np.full_like(q, v)
+            wf, wq, ws = (a.astype(np.int16) for a in (f, q, s))
+            expected = np.where(np.abs(wq - wf) <= np.abs(ws - wf), wq, ws).astype(np.uint8)
+            got = _combine(f, q, s)
+            assert got.dtype == np.uint8 and np.array_equal(got, expected), v
+
+
+def band_image(band):
+    """A seeded 224x224x3 image whose 2-D entropy selects `band`: uniform noise for 6, lightly noisy ramps for 4 and 2."""
+    rng = np.random.default_rng([224, band])
+    if band == 6:
+        return ag.Image(rng.integers(0, 256, size=(224, 224, 3), dtype=np.uint8))
+    ramp = np.broadcast_to(40 + 160 * (np.arange(224) + 0.5) / 224, (224, 224))
+    base = np.stack([ramp.T, ramp, ramp.T[::-1]], axis=2)
+    noisy = base + rng.normal(0.0, {4: 0.7, 2: 0.15}[band], base.shape)
+    return ag.Image(np.clip(np.floor(noisy + 0.5), 0, 255).astype(np.uint8))
+
+
+# sha256 of the quantized, smoothed-quantized and combined pixels of band_image(band)
+STAGE_DIGESTS = {
+    2: ("378795aa756baaa2e58646f266bff88900a1cee7781ae4bd908499cea0eb40cc", None,
+        "378795aa756baaa2e58646f266bff88900a1cee7781ae4bd908499cea0eb40cc"),
+    4: ("fb008ad76dfc0da1f6f7987a35d245c5ab793641e76bdbe22b62da457fb46fba", None,
+        "fb008ad76dfc0da1f6f7987a35d245c5ab793641e76bdbe22b62da457fb46fba"),
+    6: ("d47131e342070c0025ea81352e61f3b44dc3577287f87c9fd1a578a7a3d36141",
+        "6d1d5c56ea7d4636d3cdf494641b35ae1e2ba2793f271d39b9b4e37e9330c6aa",
+        "2ebc8d508e345ccbd5af2edc2f92f5764e6442b9df96597234e5a56ad7be40d4"),
+}
+
+
 class TestAdaptiveFilter:
+    @pytest.mark.parametrize("band", [2, 4, 6])
+    def test_stage_bytes_pinned_per_band(self, band):
+        img = band_image(band)
+        assert ag.select_strategy(ag.entropy_2d(img)).intervals == band
+        triple = ag.adaptive_filter(img)
+        stages = (triple.quantized, triple.smoothed_quantized, triple.combined)
+        got = tuple(None if stage is None else hashlib.sha256(stage.pixels.tobytes()).hexdigest() for stage in stages)
+        assert got == STAGE_DIGESTS[band]
+
     def test_constant_image(self):
         triple = ag.adaptive_filter(ag.Image(np.full((8, 8), 200, dtype=np.uint8)))
         assert triple.smoothed_quantized is None

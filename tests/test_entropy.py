@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
-from advguard.entropy import _profiles
+from advguard.entropy import _profiles, _rounded_mean
 
 
 def random_plane(rng, max_side=16):
@@ -154,33 +154,17 @@ class TestProfileSummationOrder:
 
 
 class TestSelectStrategy:
-    def test_photo_like_entropy_gets_smoothing(self):
-        strategy = ag.select_strategy(13.13)
-        assert strategy == ag.DenoiseStrategy(6)
-
-    def test_band_boundaries(self):
-        assert ag.select_strategy(9.50).intervals == 4
-        assert ag.select_strategy(8.50).intervals == 4
-        assert not ag.select_strategy(9.50).smooth
-
-    def test_constant_image_gets_two_intervals(self):
-        assert ag.select_strategy(0.0) == ag.DenoiseStrategy(2)
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entropy_rejected(self, h):
-        with pytest.raises(ValueError, match="entropy must be finite"):
-            ag.select_strategy(h)
-        with pytest.raises(ValueError, match="entropy must be finite"):
-            ag.select_strategy(ag.EntropyProfile(h, (h,)))
-
     def test_accepts_profile(self):
+        # the profile that entropy_2d returns is select_strategy's input, with no float taken out first
         profile = ag.entropy_2d(ag.Image(np.zeros((4, 4), dtype=np.uint8)))
         assert ag.select_strategy(profile).intervals == 2
 
-    def test_strategy_invariant_enforced(self):
-        for n in (2, 4, 6):
-            assert ag.DenoiseStrategy(n).smooth is (n == 6)
-        with pytest.raises(AttributeError):
-            ag.DenoiseStrategy(6).smooth = False
-        with pytest.raises(ValueError, match="interval count"):
-            ag.DenoiseStrategy(3)
+
+class TestRoundedMean:
+    def test_matches_doubled_numerator_form_on_every_sum(self):
+        # every sum that n taps of 0..255 can reach, against the doubled-numerator form (2 * acc + n) // (2 * n)
+        for n in range(1, 26):
+            acc = np.arange(255 * n + 1, dtype=np.int16)
+            got = _rounded_mean(acc, n)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, (2 * acc.astype(np.int64) + n) // (2 * n)), n
