@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _bytes, _check_integers, _floats, _forward, _hidden_gradient, _rows
+from .classifier import _bytes, _check_integers, _floats, _forward, _hidden_gradient, _is_real, _rows
 from .image import Image, _chunks, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -30,8 +30,8 @@ class AttackConfig:
 
     def __post_init__(self):
         _check_integers(self, ["k"] if self.k is not None else [])
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if not (_is_real(self.epsilon) and 0.0 < self.epsilon <= 1.0):
+            raise ValueError(f"epsilon must be a real number in (0, 1], got {self.epsilon!r}")
         if self.variant not in ("full", "topk"):
             raise ValueError(f"unknown attack variant {self.variant!r}")
         if self.variant == "topk" and (self.k is None or self.k < 1):
@@ -74,13 +74,17 @@ def _fgsm(model, images, config):
     original = p.argmax(axis=1)
     # cross-entropy against the original label, back through the hidden layer to the pixels
     grad = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[original]) @ model.w1.T
-    delta = config.epsilon * np.sign(grad)
     if config.variant == "topk":
         order = np.argsort(-np.abs(grad), axis=1, kind="stable")
         mask = np.zeros(grad.shape, dtype=bool)
         np.put_along_axis(mask, order[:, :config.k], True, axis=1)
-        delta = delta * mask
-    stepped = np.clip(X + delta, 0.0, 1.0)
+    # grad is the scratch buffer from here on: the step, the stepped rows and their rounding are made
+    # in place in it, so a chunk allocates no further row-sized float64 temporaries
+    step = np.sign(grad, out=grad)
+    step *= config.epsilon
+    if config.variant == "topk":
+        step *= mask
+    stepped = np.clip(np.add(X, step, out=step), 0.0, 1.0, out=step)
     if np.isnan(stepped).any():  # sign() bounds every step but a NaN one
         raise ValueError("non-finite FGSM step: the model overflows on this input")
     adv = _bytes(stepped)

@@ -118,6 +118,11 @@ class ClassifierModel:
         return self.w2.shape[1]
 
 
+def _is_real(value):
+    """Whether value is a real number that is not a bool: a bool is a Real too, and True would pass as 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _check_integers(config, names):
     for name in names:
         value = getattr(config, name)
@@ -138,8 +143,8 @@ class TrainConfig:
             raise ValueError("epochs and batch size must be positive")
         if self.seed < 0:  # numpy's generator would refuse it only after the dataset is converted
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning rate must be finite and positive")
+        if not (_is_real(self.learning_rate) and 0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate!r}")
 
 
 def _rows(images):
@@ -165,8 +170,13 @@ def _floats(X):
 
 
 def _bytes(X):
-    """[0, 1] rows committed to uint8, rounding half away from zero; exact inverse of _floats on bytes."""
-    return np.floor(X * 255.0 + 0.5).astype(np.uint8)  # nonnegative, so half away from zero is floor(x + 0.5)
+    """[0, 1] float64 rows committed to uint8, rounding half away from zero; exact inverse of _floats on bytes.
+
+    X is scratch: the rounding is made in place in it, so no row-sized temporary is allocated.
+    """
+    X *= 255.0
+    X += 0.5
+    return np.floor(X, out=X).astype(np.uint8)  # nonnegative, so half away from zero is floor(x + 0.5)
 
 
 def _dataset(images, labels):
@@ -333,7 +343,7 @@ class ModelClassifier:
 
 def _check_timeout(timeout):
     """timeout itself when it is None or a finite real number > 0 that is not a bool, else a ValueError naming it."""
-    if timeout is None or isinstance(timeout, Real) and not isinstance(timeout, bool) and 0 < timeout < math.inf:
+    if timeout is None or _is_real(timeout) and 0 < timeout < math.inf:
         return timeout
     raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
 

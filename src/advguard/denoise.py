@@ -54,6 +54,10 @@ class DenoiseStrategy:
         return pixels // _STEPS[self.intervals] * _STEPS[self.intervals]
 
 
+# the three settings, built once: the type is frozen, so every caller can share them
+_STRATEGIES = {n: DenoiseStrategy(n) for n in _STEPS}
+
+
 def select_strategy(profile):
     """Pick the denoising strategy for a 2-D entropy value.
 
@@ -64,7 +68,7 @@ def select_strategy(profile):
     h = profile.h2d if isinstance(profile, EntropyProfile) else float(profile)
     if not math.isfinite(h):
         raise ValueError(f"entropy must be finite, got {h}")
-    return DenoiseStrategy(6 if h > 9.50 else 4 if h >= 8.50 else 2)
+    return _STRATEGIES[6 if h > 9.50 else 4 if h >= 8.50 else 2]
 
 
 @dataclass(eq=False)
@@ -78,7 +82,7 @@ class FilteredTriple:
 
 def make_quantizer(intervals):
     """The DenoiseStrategy with 2, 4 or 6 intervals, whose table and codebook are that quantizer."""
-    return DenoiseStrategy(intervals)
+    return _STRATEGIES[DenoiseStrategy(intervals).intervals]  # the constructor checks the count
 
 
 def quantize(img, strategy):

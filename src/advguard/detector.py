@@ -75,9 +75,11 @@ def _denoise(images):
     stack = np.concatenate([img.pixels for img in images], axis=2)
     profiles = _profiles(stack, planes)
     strategies = [select_strategy(p) for p in profiles]
+    groups = {}  # strategy -> indices of its images, in order
+    for i, strategy in enumerate(strategies):
+        groups.setdefault(strategy, []).append(i)
     denoised = [None] * len(images)
-    for strategy in dict.fromkeys(strategies):
-        members = [i for i, s in enumerate(strategies) if s == strategy]
+    for strategy, members in groups.items():
         group = stack if len(members) == len(images) else stack[:, :, [
             i * planes + k for i in members for k in range(planes)]]
         combined = _filter(group, strategy)[2]

@@ -7,6 +7,7 @@ filter's smoothing.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,19 +94,33 @@ def _profiles(stack, planes):
     codes.sort(axis=1)
     codes = codes.ravel()
     edges = np.empty(codes.size + 1, dtype=bool)  # run boundaries, both ends included
-    edges[0] = edges[-1] = True
     np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
-    edges[::h * w] = True  # a plane's last run ends at its row's end
+    edges[::h * w] = True  # a plane's last run ends at its row's end; this sets both ends too
     bounds = np.flatnonzero(edges)
     counts = bounds[1:] - bounds[:-1]
-    # p * log2(p) for each count up to the largest: per run, the same float64 operations on the same value
-    p = np.arange(1, counts.max() + 1) / (h * w)
-    terms = (p * np.log2(p)).take(counts - 1)
+    # the table's length is the least power of two >= the largest count, capped at H * W, so it holds
+    # only the counts this stack can need and a few lengths cover every stack of one size
+    bound = min(1 << (int(counts.max()) - 1).bit_length(), h * w)
+    plogp = _plogp if bound <= _CACHED_COUNTS else _plogp.__wrapped__  # a longer table is built, used and freed
+    terms = plogp(h * w, bound).take(counts - 1)
     # np.bincount adds each plane's weights one by one in input order, which is ascending cell order
-    per = -np.bincount(bounds[:-1] // (h * w), weights=terms, minlength=depth) + 0.0
+    per = 0.0 - np.bincount(bounds[:-1] // (h * w), weights=terms, minlength=depth)  # 0.0 - x is -x + 0.0
     per = per.reshape(-1, planes)
-    # a row of at most 3 floats sums in order, as np.mean over one image's planes does
-    return [EntropyProfile(h2d, tuple(row)) for h2d, row in zip(per.mean(axis=1).tolist(), per.tolist())]
+    # a row of at most 3 floats sums in order; sum then divide are the two ufuncs np.mean runs
+    return [EntropyProfile(h2d, tuple(row)) for h2d, row in zip((per.sum(axis=1) / planes).tolist(), per.tolist())]
+
+
+# the longest table kept between calls, 512 KB: every count of a 224x224 plane; so the cache holds at most 32 MB
+_CACHED_COUNTS = 2**16
+
+
+@lru_cache(maxsize=64)
+def _plogp(n, bound):
+    """Read-only p * log2(p) for p = c / n, c = 1..bound: per count, the same float64 operations on the same value."""
+    p = np.arange(1, bound + 1) / n
+    terms = p * np.log2(p)
+    terms.flags.writeable = False
+    return terms
 
 
 def entropy_2d(img):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="epsilon"):
             ag.AttackConfig(epsilon=1.5)
         ag.AttackConfig(epsilon=1.0)
+
+    @pytest.mark.parametrize("epsilon", [True, "0.1", None, math.nan, math.inf])
+    def test_epsilon_must_be_a_real_number_in_range(self, epsilon):
+        # True is not accepted as 1, and a string or None is named instead of failing a comparison
+        message = f"epsilon must be a real number in (0, 1], got {epsilon!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ag.AttackConfig(epsilon=epsilon)
 
     def test_topk_needs_k(self):
         with pytest.raises(ValueError, match="k >= 1"):

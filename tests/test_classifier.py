@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import stat
 import struct
 import sys
@@ -209,10 +210,12 @@ class TestTraining:
         assert ag.accuracy(models[0], imgs, labels) == ag.accuracy(models[0], floats, labels)
 
     @pytest.mark.filterwarnings("error")  # rejected before numpy sees the value
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1, True, "0.1", None])
     @pytest.mark.parametrize("field", ["learning_rate"])
     def test_rate_and_range_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+        # a bool or a non-number is refused by name, not accepted as 1 or left to a comparison's TypeError
+        message = f"^learning rate must be finite and positive, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             ag.TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [

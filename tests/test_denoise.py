@@ -38,6 +38,17 @@ class TestSelectStrategy:
     def test_constant_image_gets_two_intervals(self):
         assert ag.select_strategy(0.0) == ag.DenoiseStrategy(2)
 
+    @pytest.mark.parametrize("n, entropies", [(2, (0.0, 8.49)), (4, (8.5, 9.0, 9.5)), (6, (9.51, 16.0))])
+    def test_shared_instances_equal_and_hash_like_fresh_ones(self, n, entropies):
+        shared = ag.make_quantizer(n)
+        for h in entropies:
+            assert ag.select_strategy(h) is shared
+            assert ag.select_strategy(ag.EntropyProfile(h, (h,))) is shared
+        fresh = ag.DenoiseStrategy(n)
+        assert shared is not fresh and shared == fresh and hash(shared) == hash(fresh)
+        assert ag.make_quantizer(np.int64(n)) is shared
+        assert {fresh: n}[shared] == n
+
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
     def test_non_finite_entropy_rejected(self, h):
         with pytest.raises(ValueError, match="entropy must be finite"):

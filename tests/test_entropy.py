@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
-from advguard.entropy import _profiles, _rounded_mean
+from advguard.entropy import EntropyProfile, _box_mean, _plogp, _profiles, _rounded_mean
 
 
 def random_plane(rng, max_side=16):
@@ -151,6 +151,91 @@ class TestProfileSummationOrder:
         assert len(profiles) == stack.shape[2] // planes
         got = [x.hex() for profile in profiles for x in profile.per_plane]
         assert got == [ordered_entropy(stack[:, :, k]).hex() for k in range(stack.shape[2])]
+
+
+def profiles_per_call(stack, planes):
+    """_profiles as it was before its p * log2(p) table was cached: the reference for the cached form."""
+    h, w, depth = stack.shape
+    codes = np.left_shift(stack, 8, dtype=np.uint16)
+    codes |= _box_mean(stack)
+    codes = np.ascontiguousarray(codes.reshape(h * w, depth).T)
+    codes.sort(axis=1)
+    codes = codes.ravel()
+    edges = np.empty(codes.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    edges[::h * w] = True
+    bounds = np.flatnonzero(edges)
+    counts = bounds[1:] - bounds[:-1]
+    p = np.arange(1, counts.max() + 1) / (h * w)
+    terms = (p * np.log2(p)).take(counts - 1)
+    per = -np.bincount(bounds[:-1] // (h * w), weights=terms, minlength=depth) + 0.0
+    per = per.reshape(-1, planes)
+    return [EntropyProfile(h2d, tuple(row)) for h2d, row in zip(per.mean(axis=1).tolist(), per.tolist())]
+
+
+def bits(profiles):
+    return [(p.h2d.hex(), [x.hex() for x in p.per_plane]) for p in profiles]
+
+
+class TestCachedTable:
+    @pytest.mark.parametrize("n", [1, 2, 784, 50176])
+    def test_entries_equal_the_per_call_terms_bit_for_bit(self, n):
+        table = _plogp(n, n)
+        assert not table.flags.writeable and table.shape == (n,)
+
+        def per_call(length):  # the table _profiles built on every call, for a largest count of `length`
+            p = np.arange(1, length + 1) / n
+            return p * np.log2(p)
+
+        # full length and short prefixes take numpy's vector log2 path, single counts its scalar path;
+        # a shorter table, as _profiles asks for, is the same prefix
+        assert table.tobytes() == per_call(n).tobytes()
+        for length in sorted({*range(1, min(n, 40) + 1), 64, 1024, 32768, n // 3 + 1, n - 1} & {*range(1, n + 1)}):
+            assert table[:length].tobytes() == _plogp(n, length).tobytes() == per_call(length).tobytes(), length
+        one = np.empty(1)
+        for c in range(1, n + 1):
+            one[0] = c / n
+            assert (one * np.log2(one))[0] == table[c - 1]
+        scalars = [float(np.float64(c / n) * np.log2(np.float64(c / n))) for c in range(1, min(n, 300) + 1)]
+        assert scalars == table[:len(scalars)].tolist()
+
+
+def profile_cases():
+    rng = np.random.default_rng(71)
+    for planes in (1, 3):
+        for images in range(1, 6):
+            depth = planes * images
+            h, w = (int(x) for x in rng.integers(1, 30, size=2))
+            yield pytest.param(np.full((h, w, depth), int(rng.integers(0, 256)), dtype=np.uint8), planes,
+                               id=f"constant-{planes}x{images}")
+            levels = rng.choice(np.array([0, 255], dtype=np.uint8), size=(h, w, depth))
+            yield pytest.param(levels, planes, id=f"two-level-{planes}x{images}")
+            yield pytest.param(rng.integers(0, 256, size=(h, w, depth), dtype=np.uint8), planes,
+                               id=f"random-{planes}x{images}")
+    yield pytest.param(rng.integers(0, 256, size=(28, 28, 5), dtype=np.uint8), 1, id="digits-28x28x5")
+
+
+class TestProfilesAgainstPerCallTable:
+    @pytest.mark.parametrize("stack, planes", profile_cases())
+    def test_same_bits(self, stack, planes):
+        assert bits(_profiles(stack, planes)) == bits(profiles_per_call(stack, planes))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (28, 28, 1), (7, 5, 3), (224, 224, 3), (257, 256, 1)])
+    def test_constant_plane_is_positive_zero(self, shape):
+        (profile,) = _profiles(np.full(shape, 200, dtype=np.uint8), shape[2])
+        assert profile.h2d == 0.0 and math.copysign(1.0, profile.h2d) == 1.0
+        assert all(math.copysign(1.0, x) == 1.0 for x in profile.per_plane)
+
+    def test_tables_past_the_cached_length_are_not_kept(self):
+        # a near-constant large plane needs a table as long as the plane: it is built for the call only
+        stack = np.full((257, 256, 1), 9, dtype=np.uint8)
+        stack[0, 0] = 10
+        _plogp.cache_clear()
+        assert bits(_profiles(stack, 1)) == bits(profiles_per_call(stack, 1))
+        assert _plogp.cache_info().currsize == 0
+        _profiles(stack[:200], 1)  # 51200 pixels: its 51200-long table is kept
+        assert _plogp.cache_info().currsize == 1
 
 
 class TestSelectStrategy:
