@@ -46,7 +46,7 @@ print("the combined image is never farther from the input than either candidate"
 print(f"stages written to {out}/")
 
 # the quantizer itself, on every possible intensity
-q6 = ag.make_quantizer(6)
+q6 = ag.DenoiseStrategy(6)
 levels = ag.Image(np.arange(256, dtype=np.uint8).reshape(1, 256))
 quantized_levels = ag.quantize(levels, q6).pixels.ravel()
 print("\n6-interval codebook:")

@@ -36,7 +36,6 @@ from .denoise import (
     adaptive_filter,
     combine,
     cross_mask,
-    make_quantizer,
     quantize,
     select_strategy,
     smooth,

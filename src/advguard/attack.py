@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _bytes, _check_integers, _floats, _forward, _hidden_gradient, _is_real, _rows
+from .classifier import _bytes, _check_integers, _floats, _forward, _is_real, _pixel_gradient, _rows
 from .image import Image, _chunks, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -72,8 +72,7 @@ def _fgsm(model, images, config):
     X = _floats(_rows(images))
     z1, _, p = _forward(model, X)
     original = p.argmax(axis=1)
-    # cross-entropy against the original label, back through the hidden layer to the pixels
-    grad = _hidden_gradient(model, z1, p - np.eye(model.n_classes)[original]) @ model.w1.T
+    grad = _pixel_gradient(model, z1, p, original)  # cross-entropy against the original label
     if config.variant == "topk":
         order = np.argsort(-np.abs(grad), axis=1, kind="stable")
         mask = np.zeros(grad.shape, dtype=bool)

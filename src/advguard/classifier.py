@@ -120,7 +120,8 @@ class ClassifierModel:
 
 def _is_real(value):
     """Whether value is a real number that is not a bool: a bool is a Real too, and True would pass as 1."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    # a float, as every EntropyProfile holds, skips the ABC check, which takes longer than the rest of select_strategy
+    return type(value) is float or isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_integers(config, names):
@@ -211,18 +212,16 @@ def _hidden_gradient(model, z1, g2):
     return (g2 @ model.w2.T) * (z1 > 0.0)
 
 
+def _pixel_gradient(model, z1, p, labels):
+    """Each row's cross-entropy gradient at the pixels, against its label, from one _forward's z1 and softmax rows p."""
+    return _hidden_gradient(model, z1, p - np.eye(model.n_classes)[labels]) @ model.w1.T
+
+
 def _backward(model, X, Y):
     """a1 and the mean cross-entropy's output and hidden gradients against one-hot rows Y."""
     z1, a1, p = _forward(model, X)
     g2 = (p - Y) / len(X)
     return a1, g2, _hidden_gradient(model, z1, g2)
-
-
-def _gradients(model, x, c):
-    """One input as a (1, d) row, then _backward's results for class c."""
-    _check_class(model, c)
-    X = _floats(_rows([x]))
-    return (X, *_backward(model, X, np.eye(model.n_classes)[c]))
 
 
 def forward(model, x):
@@ -244,13 +243,16 @@ def input_gradient(model, x, c):
     array's own shape, so a flat row gives a flat gradient. It is taken in
     the [0, 1] domain either way.
     """
-    dx = (_gradients(model, x, c)[3] @ model.w1.T)[0]
-    return dx.reshape(x.pixels.shape if isinstance(x, Image) else np.shape(x))
+    _check_class(model, c)
+    z1, _, p = _forward(model, _floats(_rows([x])))
+    return _pixel_gradient(model, z1, p, [c]).reshape(x.pixels.shape if isinstance(x, Image) else np.shape(x))
 
 
 def parameter_gradients(model, x, c):
     """Gradients of the loss with respect to (w1, b1, w2, b2)."""
-    X, a1, g2, g1 = _gradients(model, x, c)
+    _check_class(model, c)
+    X = _floats(_rows([x]))
+    a1, g2, g1 = _backward(model, X, np.eye(model.n_classes)[c])
     return X.T @ g1, g1[0], a1.T @ g2, g2[0]
 
 

@@ -14,20 +14,19 @@ from typing import Optional
 
 import numpy as np
 
+from .classifier import _is_real
 from .entropy import EntropyProfile, _tap_mean, entropy_2d
 from .image import Image
 
 # the uniform left-value quantizer's step per interval count; with 6 intervals the last one is the short [250, 255]
 _STEPS = {2: 128, 4: 64, 6: 50}
-# each byte's codeword, one shared table per count; np.frombuffer over bytes makes it read-only
-_TABLES = {n: np.frombuffer(bytes(v // step * step for v in range(256)), np.uint8) for n, step in _STEPS.items()}
 
 
 @dataclass(frozen=True)
 class DenoiseStrategy:
     """The uniform left-value quantizer with 2, 4 or 6 intervals; its image is also smoothed exactly when it is 6.
 
-    ``table`` maps each byte to its codeword; ``codebook`` lists (lower, upper, codeword) per interval.
+    ``codebook`` lists (lower, upper, codeword) per interval.
     """
 
     intervals: int
@@ -40,10 +39,6 @@ class DenoiseStrategy:
     @property
     def smooth(self):
         return self.intervals == 6
-
-    @property
-    def table(self):
-        return _TABLES[self.intervals]
 
     @property
     def codebook(self):
@@ -63,10 +58,13 @@ def select_strategy(profile):
 
     Above 9.50 bits: 6 intervals with smoothing; 8.50 through 9.50
     inclusive: 4 intervals; below 8.50: 2 intervals. Accepts an
-    EntropyProfile or a bare entropy value, which must be finite.
+    EntropyProfile or a bare entropy value, which must be a finite real
+    number that is not a bool: a str such as "9.6" is refused, not parsed.
     """
-    h = profile.h2d if isinstance(profile, EntropyProfile) else float(profile)
-    if not math.isfinite(h):
+    h = profile.h2d if isinstance(profile, EntropyProfile) else profile
+    if not _is_real(h):
+        raise ValueError(f"entropy must be a real number, got {h!r}")
+    if not -math.inf < h < math.inf:  # an int too large for a float compares exactly
         raise ValueError(f"entropy must be finite, got {h}")
     return _STRATEGIES[6 if h > 9.50 else 4 if h >= 8.50 else 2]
 
@@ -80,13 +78,8 @@ class FilteredTriple:
     combined: Image
 
 
-def make_quantizer(intervals):
-    """The DenoiseStrategy with 2, 4 or 6 intervals, whose table and codebook are that quantizer."""
-    return _STRATEGIES[DenoiseStrategy(intervals).intervals]  # the constructor checks the count
-
-
 def quantize(img, strategy):
-    """Replace every pixel with its interval's codeword: v // step * step, the same bytes as the strategy's table."""
+    """Replace every pixel with its interval's codeword, v // step * step."""
     return Image(strategy._codewords(img.pixels))
 
 

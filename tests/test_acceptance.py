@@ -41,7 +41,7 @@ def criterion(name, budget=None):
 
 def test_codebook_exactness():
     with criterion("codebook exactness", budget=1.0):
-        six = ag.make_quantizer(6)
+        six = ag.DenoiseStrategy(6)
         assert six.codebook == (
             (0, 49, 0), (50, 99, 50), (100, 149, 100),
             (150, 199, 150), (200, 249, 200), (250, 255, 250),
@@ -51,7 +51,7 @@ def test_codebook_exactness():
         for v in range(256):
             expected = 250 if v >= 250 else (v // 50) * 50
             assert got6[v] == expected, v
-        got2 = ag.quantize(values, ag.make_quantizer(2)).pixels.ravel()
+        got2 = ag.quantize(values, ag.DenoiseStrategy(2)).pixels.ravel()
         for v in range(256):
             assert got2[v] == (0 if v < 128 else 128), v
 

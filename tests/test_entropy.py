@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
+from advguard.denoise import _filter
 from advguard.entropy import EntropyProfile, _box_mean, _plogp, _profiles, _rounded_mean
+
+
+MIRRORS = {"row flip": lambda a: a[::-1], "column flip": lambda a: a[:, ::-1], "transpose": lambda a: a.transpose(1, 0, 2)}
 
 
 def random_plane(rng, max_side=16):
@@ -94,12 +98,24 @@ class TestEntropy2d:
         gray_h = ag.entropy_2d(ag.Image(plane)).h2d
         assert ag.entropy_2d(rgb).h2d == pytest.approx(gray_h, abs=1e-12)
 
-    def test_mirror_invariance(self):
-        rng = np.random.default_rng(47)
-        plane = rng.integers(0, 256, size=(9, 6)).astype(np.uint8)
-        base = ag.entropy_2d(ag.Image(plane)).h2d
-        assert ag.entropy_2d(ag.Image(plane[:, ::-1])).h2d == base
-        assert ag.entropy_2d(ag.Image(plane[::-1, :])).h2d == base
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 39), st.integers(1, 39), st.sampled_from([1, 3]), st.sampled_from([2, 16, 256]),
+           st.integers(0, 2**32 - 1))
+    def test_mirror_invariance(self, h, w, planes, levels, seed):
+        # the 5x5 window, the cross mask and replicate padding are all symmetric under the dihedral flips, so
+        # a flipped image has the same joint histogram cells, summed in the same order, and flipped filter stages
+        rng = np.random.default_rng(seed)
+        px = rng.integers(0, levels, size=(h, w, planes), dtype=np.uint8)
+        base = ag.entropy_2d(ag.Image(px))
+        for name, flip in MIRRORS.items():
+            assert bits([ag.entropy_2d(ag.Image(flip(px)))]) == bits([base]), name
+            for n in (2, 4, 6):
+                strategy = ag.DenoiseStrategy(n)
+                for got, expected in zip(_filter(flip(px), strategy), _filter(px, strategy)):
+                    assert (got is None and expected is None) or (got.tobytes() == flip(expected).tobytes()), (name, n)
+        order = rng.permutation(planes)
+        permuted = ag.entropy_2d(ag.Image(px[:, :, order])).per_plane
+        assert [x.hex() for x in permuted] == [base.per_plane[k].hex() for k in order]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1))

@@ -4,7 +4,9 @@ Each reader gets random bytes plus inputs that pass its magic or header
 check, so the fuzzing also reaches the length, size and row checks. The
 IDX readers also get those inputs gzipped, whole or cut short, and random
 bytes after the gzip magic. One level up, `advguard eval` runs over
-corpora of random files.
+corpora of random files, and `advguard entropy`, `filter` and `detect`
+over single random and well-formed image files. Each command exits with
+its documented code and names its error without a traceback.
 """
 
 import contextlib
@@ -106,6 +108,17 @@ def model_path(workdir):
     return path
 
 
+def run_cli(argv):
+    """cli.main's exit code on argv, after checking that stderr holds no traceback and only short lines."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([str(arg) for arg in argv])
+    lines = stderr.getvalue().splitlines()
+    assert "Traceback" not in stderr.getvalue()
+    assert all(len(line) < 200 for line in lines), max(lines, key=len)
+    return rc
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(CORPUS_FILES, CORPUS_FILES), min_size=1, max_size=20))
 def test_eval_over_random_files_names_every_error(workdir, model_path, pairs):
@@ -124,11 +137,55 @@ def test_eval_over_random_files_names_every_error(workdir, model_path, pairs):
             except (TypeError, ag.FormatError):  # None reads as a missing file
                 unreadable = True
     (corpus / "manifest.csv").write_text("\n".join(rows) + "\n")
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus)])
+    rc = run_cli(["eval", "--model", model_path, "--corpus", corpus])
     # a file the 64-input model cannot take is a classifier error
     assert rc == (3 if unreadable else 4 if any(img.pixels.size != 64 for img in readable) else 0)
-    lines = stderr.getvalue().splitlines()
-    assert "Traceback" not in stderr.getvalue()
-    assert all(len(line) < 200 for line in lines), max(lines, key=len)
+
+
+def netpbm(magic, size, levels, seed, cut):
+    """A well-formed P5 or P6 file of the given (width, height) and seeded pixels below levels, cut to `cut` bytes."""
+    width, height = size
+    planes = 3 if magic == b"P6" else 1
+    pixels = np.random.default_rng(seed).integers(0, levels, width * height * planes, dtype=np.uint8)
+    return (b"%s %d %d 255\n" % (magic, width, height) + pixels.tobytes())[:cut]
+
+
+# a well-formed image file, whole or cut short: 8x8 gray fits the 64-input model, and 40x40 gray
+# with 2, 64 or 256 levels falls in band 2, 4 or 6
+NETPBM_FILES = st.builds(
+    netpbm, st.sampled_from([b"P5", b"P6"]),
+    st.sampled_from([(8, 8), (40, 40)]) | st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    st.sampled_from([2, 64, 256]), st.integers(0, 2**32 - 1), st.none() | st.integers(0, 500))
+STAGES = st.sampled_from(["quantized", "smoothed", "combined"])
+
+
+def check_single_image_commands(workdir, model_path, data, stage):
+    """entropy, filter and detect on one file (None: missing) each exit with the code its content calls for."""
+    path, out = workdir / "image.pgm", workdir / "filtered.pgm"
+    path.unlink(missing_ok=True)
+    if data is not None:
+        path.write_bytes(data)
+    try:
+        img = ag.read_pgm_ppm(data)
+    except (TypeError, ag.FormatError):  # None reads as a missing file
+        img = None
+    # an unreadable or missing file is an operational failure; so is asking for a smoothed
+    # stage that the image's band does not make
+    assert run_cli(["entropy", path]) == (0 if img is not None else 1)
+    unsmoothed = img is not None and not ag.select_strategy(ag.entropy_2d(img)).smooth
+    assert run_cli(["filter", path, out, "--stage", stage]) == (
+        1 if img is None or stage == "smoothed" and unsmoothed else 0)
+    assert run_cli(["detect", path, "--model", model_path]) == (
+        1 if img is None else 0 if img.pixels.size == 64 else 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CORPUS_FILES, STAGES)
+def test_single_image_commands_over_random_files(workdir, model_path, data, stage):
+    check_single_image_commands(workdir, model_path, data, stage)
+
+
+@settings(max_examples=150, deadline=None)
+@given(NETPBM_FILES, STAGES)
+def test_single_image_commands_over_well_formed_files(workdir, model_path, data, stage):
+    check_single_image_commands(workdir, model_path, data, stage)

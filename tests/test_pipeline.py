@@ -40,7 +40,7 @@ PUBLIC_NAMES = [
     "Image", "ModelClassifier", "PredictionVector", "TrainConfig", "Verdict",
     "accuracy", "adaptive_filter", "build_attack_corpus", "combine", "craft",
     "cross_mask", "detect", "detect_batch", "entropy_2d", "evaluate", "forward",
-    "input_gradient", "load_model", "loss", "make_quantizer", "neighborhood_average",
+    "input_gradient", "load_model", "loss", "neighborhood_average",
     "parameter_gradients", "quantize", "read_idx_images", "read_idx_labels", "read_pgm_ppm",
     "save_model", "select_strategy", "smooth", "train", "write_pgm_ppm", "write_report",
 ]
