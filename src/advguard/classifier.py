@@ -23,6 +23,7 @@ from .image import Image, write_pgm_ppm
 MODEL_MAGIC = b"ADVG"
 MODEL_VERSION = 1
 _INIT_RANGE = 0.05  # train draws initial weights uniformly from [-0.05, 0.05]
+_SLICE_BYTES = 2**20  # _first_layer's w1 slice size; like image._BATCH_BYTES, a cache-sized bound
 
 
 class ExternalClassifierError(RuntimeError):
@@ -158,7 +159,12 @@ def _rows(images):
     if not images:
         raise ValueError("empty dataset")
     if all(isinstance(im, Image) for im in images):
-        return np.array([im.pixels.reshape(-1) for im in images])
+        try:
+            return np.array([im.pixels.reshape(-1) for im in images])
+        except ValueError:  # rows of different lengths; numpy's message names no image
+            size = images[0].pixels.size
+            i = next(i for i, im in enumerate(images) if im.pixels.size != size)
+            raise ValueError(f"image {i} has {images[i].pixels.size} values, image 0 has {size}") from None
     return np.concatenate([  # byte-domain inputs always enter the net as [0, 1]
         _floats(im.pixels.reshape(1, -1)) if isinstance(im, Image)
         else np.asarray(im, dtype=np.float64).reshape(1, -1)
@@ -194,13 +200,27 @@ def _check_class(model, c):
         raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
 
 
+def _first_layer(X, w1):
+    """X @ w1, summed over row slices of w1 of about _SLICE_BYTES each into the first slice's product.
+
+    Each slice stays in cache while every row of X passes over it, so a w1
+    larger than the cache is read from memory once. A w1 that fits in one
+    slice is one product of the full arrays.
+    """
+    rows = max(1, _SLICE_BYTES // w1[0].nbytes)
+    z = X[:, :rows] @ w1[:rows]
+    for s in range(rows, len(w1), rows):
+        z += X[:, s:s + rows] @ w1[s:s + rows]
+    return z
+
+
 def _forward(model, X):
     """The network on an (n, d) batch: hidden pre-activations, activations, softmax rows."""
     if X.shape[1] != model.input_size:
         raise ValueError(f"dimension mismatch: input has {X.shape[1]} values, model expects {model.input_size}")
     # weights that overflow give NaN rows, which PredictionVector names; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        z1 = X @ model.w1 + model.b1
+        z1 = _first_layer(X, model.w1) + model.b1
         a1 = np.maximum(z1, 0.0)
         z2 = a1 @ model.w2 + model.b2
         e = np.exp(z2 - z2.max(axis=1, keepdims=True))

@@ -295,6 +295,16 @@ class TestSingleChecks:
         # all classes tie under the zero model: the label is the lowest index
         assert ag.accuracy(zero_model(), np.zeros((3, 4)), [0, 0, 1]) == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("call", [
+        lambda m, images: ag.ModelClassifier(m).batch(images),
+        lambda m, images: ag.accuracy(m, images, [0] * len(images)),
+        lambda m, images: ag.train(images, [0] * len(images), ag.TrainConfig(epochs=1), hidden=2),
+    ], ids=["batch", "accuracy", "train"])
+    def test_mixed_image_sizes_name_the_first_odd_image(self, call):
+        images = [ag.Image(np.zeros(shape, dtype=np.uint8)) for shape in ((2, 2), (2, 2), (1, 3), (5, 1))]
+        with pytest.raises(ValueError, match="^image 2 has 3 values, image 0 has 4$"):
+            call(zero_model(d=4), images)
+
 
 class TestBatch:
     def test_one_image_batch_equals_forward(self):
@@ -356,6 +366,60 @@ class TestBatch:
             else:
                 vectors = ag.PredictionVector._batch(matrix, tol=tol)
                 assert [v.confidences.tolist() for v in vectors] == rows
+
+
+def first_layer_bound(X, model):
+    """Bound on |a - b| for any two float64 sums of X @ w1 + b1, each a length-(d + 1) dot product per entry.
+
+    Either sum lies within gamma(d + 1) * (|X| @ |w1| + |b1|) of the exact value,
+    with gamma(n) = n u / (1 - n u) and u half of float64 eps.
+    """
+    n = X.shape[1] + 1
+    u = np.finfo(np.float64).eps / 2
+    return 2 * n * u / (1 - n * u) * (np.abs(X) @ np.abs(model.w1) + np.abs(model.b1))
+
+
+class TestFirstLayerSlices:
+    """_forward multiplies w1 in row slices of about _SLICE_BYTES, and a w1 within one slice in one product."""
+
+    @pytest.mark.parametrize("n", [1, 2, 512])
+    def test_digit_model_is_one_product_bit_for_bit(self, n):
+        rng = np.random.default_rng([784, n])
+        model = random_model(rng, d=784, h=128, n=10, scale=0.05)
+        assert model.w1.nbytes <= classifier._SLICE_BYTES
+        X = rng.integers(0, 256, (n, 784), dtype=np.uint8) / 255.0
+        assert classifier._forward(model, X)[0].tobytes() == (X @ model.w1 + model.b1).tobytes()
+
+    @pytest.mark.parametrize("d", [2 * 8192, 2 * 8192 + 1, 224 * 224 * 3])
+    def test_sliced_model_agrees_with_one_product(self, d):
+        assert classifier._SLICE_BYTES // (16 * 8) == 8192  # the slice rows at h = 16
+        rng = np.random.default_rng([d, 16])
+        model = ag.ClassifierModel(rng.normal(0.0, 0.01, (d, 16)), rng.uniform(-0.05, 0.05, 16),
+                                   rng.normal(0.0, 1.0, (16, 10)), rng.uniform(-0.05, 0.05, 10))
+        X = rng.integers(0, 256, (8, d), dtype=np.uint8) / 255.0
+        z1, _, p = classifier._forward(model, X)
+        whole = X @ model.w1 + model.b1
+        assert np.all(np.abs(z1 - whole) <= first_layer_bound(X, model))
+        logits = np.maximum(whole, 0.0) @ model.w2 + model.b2
+        assert np.array_equal(np.argmax(p, axis=1), np.argmax(logits, axis=1))
+
+    def test_row_over_the_budget_is_a_slice_of_its_own(self):
+        h = 2**17 + 1
+        assert 8 * h > classifier._SLICE_BYTES
+        rng = np.random.default_rng(17)
+        model = random_model(rng, d=3, h=h, n=2)
+        X = rng.uniform(0, 1, (2, 3))
+        z1 = classifier._forward(model, X)[0]
+        assert np.all(np.abs(z1 - (X @ model.w1 + model.b1)) <= first_layer_bound(X, model))
+        by_row = X[:, :1] @ model.w1[:1] + X[:, 1:2] @ model.w1[1:2] + X[:, 2:] @ model.w1[2:] + model.b1
+        assert z1.tobytes() == by_row.tobytes()
+
+    def test_rgb_batch_of_one_equals_forward(self):
+        rng = np.random.default_rng(224)
+        model = random_model(rng, d=224 * 224 * 3, h=16, n=10, scale=0.05)
+        img = ag.Image(rng.integers(0, 256, size=(224, 224, 3), dtype=np.uint8))
+        (pv,) = ag.ModelClassifier(model).batch([img])
+        assert pv.confidences.tobytes() == ag.forward(model, img).confidences.tobytes()
 
 
 class TestModelFile:

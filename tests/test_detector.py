@@ -8,6 +8,7 @@ import advguard as ag
 import oracles
 from advguard import entropy, image
 from synth import template_digits
+from test_denoise import band_image
 
 
 def constant_classifier(n=4):
@@ -242,6 +243,40 @@ class TestDetectBatch:
         assert ag.detect_batch(constant_classifier(), []) == []
         with pytest.raises(ValueError, match="not aligned"):
             ag.detect_batch(constant_classifier(), [flat_image(0)], ["a", "b"])
+
+
+def rgb_model():
+    """A seeded, untrained 150528-16-10 network."""
+    rng = np.random.default_rng([224, 16])
+    return ag.ClassifierModel(rng.normal(0.0, 0.01, (224 * 224 * 3, 16)), rng.uniform(-0.05, 0.05, 16),
+                              rng.normal(0.0, 1.0, (16, 10)), rng.uniform(-0.05, 0.05, 10))
+
+
+def rgb_noise_images():
+    """Seeded 224x224x3 noise at 256, 16, 4 and 2 levels."""
+    rng = np.random.default_rng([224, 0])
+    return [ag.Image((rng.integers(0, levels, size=(224, 224, 3)) * (255 // (levels - 1))).astype(np.uint8))
+            for levels in (256, 16, 4, 2)]
+
+
+# (original label, denoised label, intervals, repr(h2d)) of rgb_model over band_image(2, 4, 6) and
+# rgb_noise_images(); the smallest top-2 logit gap among these rows is about 0.1
+RGB_VERDICTS = [
+    (5, 7, 2, "7.783477635069295"),
+    (5, 6, 4, "9.006796123119432"),
+    (5, 5, 6, "13.586059192509689"),
+    (1, 1, 6, "13.588596469747985"),
+    (5, 5, 6, "9.886283641739787"),
+    (6, 6, 2, "6.507555243367848"),
+    (5, 5, 2, "4.362566463579817"),
+]
+
+
+def test_rgb224_verdicts_pinned():
+    images = [band_image(band) for band in (2, 4, 6)] + rgb_noise_images()
+    verdicts = ag.detect_batch(ag.ModelClassifier(rgb_model()), images)
+    assert [(v.original_label, v.denoised_label, v.strategy.intervals, repr(v.h2d)) for v in verdicts] == RGB_VERDICTS
+    assert [v.adversarial for v in verdicts] == [o != d for o, d, _, _ in RGB_VERDICTS]
 
 
 class TestStats:
