@@ -158,17 +158,15 @@ def _rows(images):
     images = list(images)
     if not images:
         raise ValueError("empty dataset")
-    if all(isinstance(im, Image) for im in images):
-        try:
-            return np.array([im.pixels.reshape(-1) for im in images])
-        except ValueError:  # rows of different lengths; numpy's message names no image
-            size = images[0].pixels.size
-            i = next(i for i, im in enumerate(images) if im.pixels.size != size)
-            raise ValueError(f"image {i} has {images[i].pixels.size} values, image 0 has {size}") from None
-    return np.concatenate([  # byte-domain inputs always enter the net as [0, 1]
-        _floats(im.pixels.reshape(1, -1)) if isinstance(im, Image)
-        else np.asarray(im, dtype=np.float64).reshape(1, -1)
-        for im in images])
+    rows = [im.pixels.reshape(-1) if isinstance(im, Image) else np.asarray(im, dtype=np.float64).reshape(-1)
+            for im in images]
+    if not all(isinstance(im, Image) for im in images):  # byte-domain inputs always enter the net as [0, 1]
+        rows = [_floats(row) for row in rows]
+    try:
+        return np.array(rows)
+    except ValueError:  # rows of different lengths; numpy's message names no row
+        i = next(i for i, row in enumerate(rows) if row.size != rows[0].size)
+        raise ValueError(f"image {i} has {rows[i].size} values, image 0 has {rows[0].size}") from None
 
 
 def _floats(X):
@@ -189,13 +187,17 @@ def _bytes(X):
 def _dataset(images, labels):
     """_rows of the images, and their labels."""
     X = _rows(images)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     if y.shape != (len(X),):
         raise ValueError("images and labels are not aligned")
+    if not np.issubdtype(y.dtype, np.integer):  # a float label would be truncated, a bool one taken as 0 or 1
+        raise ValueError(f"labels must be integers, got {y.dtype}")
     return X, y
 
 
 def _check_class(model, c):
+    if not isinstance(c, Integral) or isinstance(c, bool):  # a bool is an Integral too, and True would index as 1
+        raise ValueError(f"class index must be an integer, got {c!r}")
     if not 0 <= c < model.n_classes:
         raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
 
@@ -237,11 +239,12 @@ def _pixel_gradient(model, z1, p, labels):
     return _hidden_gradient(model, z1, p - np.eye(model.n_classes)[labels]) @ model.w1.T
 
 
-def _backward(model, X, Y):
-    """a1 and the mean cross-entropy's output and hidden gradients against one-hot rows Y."""
+def _parameter_gradients(model, X, labels):
+    """The mean cross-entropy's gradients over float rows X against their labels, for (w1, b1, w2, b2)."""
     z1, a1, p = _forward(model, X)
-    g2 = (p - Y) / len(X)
-    return a1, g2, _hidden_gradient(model, z1, g2)
+    g2 = (p - np.eye(model.n_classes)[labels]) / len(X)
+    g1 = _hidden_gradient(model, z1, g2)
+    return X.T @ g1, g1.sum(axis=0), a1.T @ g2, g2.sum(axis=0)
 
 
 def forward(model, x):
@@ -271,9 +274,7 @@ def input_gradient(model, x, c):
 def parameter_gradients(model, x, c):
     """Gradients of the loss with respect to (w1, b1, w2, b2)."""
     _check_class(model, c)
-    X = _floats(_rows([x]))
-    a1, g2, g1 = _backward(model, X, np.eye(model.n_classes)[c])
-    return X.T @ g1, g1[0], a1.T @ g2, g2[0]
+    return _parameter_gradients(model, _floats(_rows([x])), [c])
 
 
 def train(images, labels, config=None, hidden=128, classes=10):
@@ -296,18 +297,14 @@ def train(images, labels, config=None, hidden=128, classes=10):
     r = _INIT_RANGE
     model = ClassifierModel(rng.uniform(-r, r, size=(d, hidden)), np.zeros(hidden),
                             rng.uniform(-r, r, size=(hidden, classes)), np.zeros(classes))
-    onehot = np.eye(classes)
-    lr = config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            Xb = _floats(X[batch])
-            a1, g2, g1 = _backward(model, Xb, onehot[y[batch]])  # g1 from w2 before its update
-            model.w2 -= lr * (a1.T @ g2)
-            model.b2 -= lr * g2.sum(axis=0)
-            model.w1 -= lr * (Xb.T @ g1)
-            model.b1 -= lr * g1.sum(axis=0)
+            grads = _parameter_gradients(model, _floats(X[batch]), y[batch])  # all four before any update
+            for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
+                grad *= config.learning_rate  # in place: no second gradient-sized temporary
+                param -= grad
     # a new model checks the weights again: too large a learning rate makes them non-finite
     return ClassifierModel(model.w1, model.b1, model.w2, model.b2)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import advguard as ag
 import oracles
 from advguard import classifier
+from synth import template_digits
 
 
 def random_model(rng, d=6, h=5, n=3, scale=0.5):
@@ -47,6 +49,9 @@ class TestPredictionVector:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ag.PredictionVector([1.2, -0.2])
+
+    def test_repr_names_label_and_size(self):
+        assert repr(ag.PredictionVector([0.2, 0.5, 0.3])) == "PredictionVector(label=1, n=3)"
 
 
 class TestForward:
@@ -202,8 +207,9 @@ class TestTraining:
         labels = [int(v) for v in rng.integers(0, 10, 23)]
         floats = [im.pixels / 255.0 for im in imgs]
         rows = np.stack([f.ravel() for f in floats])
+        mixed = imgs[:11] + floats[11:]  # a list with any float row converts its Images to [0, 1] values
         config = ag.TrainConfig(epochs=2, batch_size=7, seed=4)
-        models = [ag.train(data, labels, config, hidden=6) for data in (imgs, floats, rows)]
+        models = [ag.train(data, labels, config, hidden=6) for data in (imgs, floats, rows, mixed)]
         for m in models[1:]:
             for name in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(models[0], name), getattr(m, name))
@@ -230,6 +236,50 @@ class TestTraining:
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             ag.TrainConfig(seed=-1)
         assert ag.TrainConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_epochs_and_batch_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match="^epochs and batch size must be positive$"):
+            ag.TrainConfig(**{field: value})
+
+    def test_no_config_is_the_default_config(self):
+        images, labels = template_digits(40, seed=6, size=4, classes=3)
+        default = ag.train(images, labels, hidden=4, classes=3)
+        explicit = ag.train(images, labels, ag.TrainConfig(), hidden=4, classes=3)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_step_applies_parameter_gradients(self, seed):
+        # train's documented start: w1 then w2 drawn uniformly from [-0.05, 0.05] by the seeded generator, zero biases
+        rng = np.random.default_rng(seed)
+        initial = ag.ClassifierModel(rng.uniform(-0.05, 0.05, (16, 6)), np.zeros(6),
+                                     rng.uniform(-0.05, 0.05, (6, 3)), np.zeros(3))
+        img = ag.Image(np.random.default_rng(100 + seed).integers(0, 256, (4, 4), dtype=np.uint8))
+        config = ag.TrainConfig(epochs=1, batch_size=1, learning_rate=0.5, seed=seed)
+        trained = ag.train([img], [2], config, hidden=6, classes=3)
+        grads = ag.parameter_gradients(initial, img, 2)
+        for name, grad in zip(("w1", "b1", "w2", "b2"), grads):
+            step = getattr(initial, name) - config.learning_rate * grad
+            assert getattr(trained, name).tobytes() == step.tobytes(), name
+            assert np.any(grad != 0.0), name
+
+    # sha256 of the trained w1, b1, w2, b2 bytes: any change to the arithmetic of a training step changes them
+    TRAINED_DIGESTS = {
+        0: "27097dcd8a5741854cf4182c0a7e3bc47a9ea6dcf8d2cebab4396378fc6adf2a",
+        1: "01561c464a4aa1e74392164bbe5675f52d98d34885347557189367ec4a0283f7",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRAINED_DIGESTS))
+    @pytest.mark.parametrize("kind", ["images", "rows"])
+    def test_trained_weights_pinned(self, seed, kind):
+        images, labels = template_digits(50, seed=8, size=8, classes=4, noise=25.0)
+        data = images if kind == "images" else np.stack([im.pixels.ravel() / 255.0 for im in images])
+        config = ag.TrainConfig(epochs=2, batch_size=16, seed=seed)  # 50 = 3 * 16 + 2: a short last batch
+        model = ag.train(data, labels, config, hidden=8, classes=4)
+        weights = b"".join(getattr(model, name).tobytes() for name in ("w1", "b1", "w2", "b2"))
+        assert hashlib.sha256(weights).hexdigest() == self.TRAINED_DIGESTS[seed]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
@@ -271,6 +321,26 @@ class TestSingleChecks:
         with pytest.raises(ValueError, match=f"class index {c} out of range 0..2"):
             fn(zero_model(n=3), np.zeros(4), c)
 
+    @pytest.mark.parametrize("fn", [ag.loss, ag.input_gradient, ag.parameter_gradients])
+    @pytest.mark.parametrize("c", [1.5, 1.0, True, "1", None], ids=["1.5", "1.0", "True", "str", "None"])
+    def test_non_integer_class_rejected(self, fn, c):
+        with pytest.raises(ValueError, match=f"^class index must be an integer, got {re.escape(repr(c))}$"):
+            fn(zero_model(n=3), np.zeros(4), c)
+        fn(zero_model(n=3), np.zeros(4), np.int64(1))  # numpy integers pass
+
+    @pytest.mark.parametrize("call", [
+        lambda images, labels: ag.train(images, labels, ag.TrainConfig(epochs=1), hidden=2),
+        lambda images, labels: ag.accuracy(zero_model(d=4), images, labels),
+    ], ids=["train", "accuracy"])
+    @pytest.mark.parametrize("labels, dtype", [
+        ([0.0, 1.9], "float64"), ([True, False], "bool"), (["0", "1"], "<U1"), ([0, None], "object"),
+    ], ids=["float", "bool", "str", "object"])
+    def test_non_integer_labels_rejected(self, call, labels, dtype):
+        images = [ag.Image(np.zeros((2, 2), dtype=np.uint8))] * 2
+        with pytest.raises(ValueError, match=f"^labels must be integers, got {re.escape(dtype)}$"):
+            call(images, labels)
+        call(images, np.array([0, 1], dtype=np.uint8))  # any integer dtype passes
+
     def test_diverged_training_rejected(self):
         rng = np.random.default_rng(0)
         imgs = [ag.Image(rng.integers(0, 256, size=(4, 4)).astype(np.uint8)) for _ in range(20)]
@@ -301,9 +371,12 @@ class TestSingleChecks:
         lambda m, images: ag.train(images, [0] * len(images), ag.TrainConfig(epochs=1), hidden=2),
     ], ids=["batch", "accuracy", "train"])
     def test_mixed_image_sizes_name_the_first_odd_image(self, call):
-        images = [ag.Image(np.zeros(shape, dtype=np.uint8)) for shape in ((2, 2), (2, 2), (1, 3), (5, 1))]
-        with pytest.raises(ValueError, match="^image 2 has 3 values, image 0 has 4$"):
-            call(zero_model(d=4), images)
+        shapes = ((2, 2), (2, 2), (1, 3), (5, 1))
+        images = [ag.Image(np.zeros(shape, dtype=np.uint8)) for shape in shapes]
+        rows = [np.zeros(shape) for shape in shapes]
+        for inputs in (images, rows, [images[0], rows[1], rows[2], images[3]]):
+            with pytest.raises(ValueError, match="^image 2 has 3 values, image 0 has 4$"):
+                call(zero_model(d=4), inputs)
 
 
 class TestBatch:
@@ -504,6 +577,11 @@ class TestExternalClassifier:
             with pytest.raises(ag.ExternalClassifierError, match="timed out after 0.5 s earlier; not run again"):
                 classify(img)
         assert log.read_text() == "start\n"
+
+    def test_missing_program_cannot_run(self, tmp_path):
+        missing = str(tmp_path / "no-such-classifier")
+        with pytest.raises(ag.ExternalClassifierError, match=f"^cannot run {re.escape(repr(missing))}: "):
+            ag.ExternalClassifier(f'"{missing}"')(blank())
 
     def test_bad_sum_rejected(self, tmp_path):
         cmd = write_stub(tmp_path, "badsum.py", "print('0.5 0.6')\n")

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import hashlib
 import os
@@ -298,6 +299,20 @@ class TestEvalCommand:
         assert rc == 3
         assert "malformed manifest" in capsys.readouterr().err
 
+    def test_unopenable_file_name_is_two_corpus_errors(self, pipeline, tmp_path, capsys):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(pipeline["corpus"], broken)
+        long_id = "x" * 300  # a valid manifest id whose file names are too long to open
+        with open(broken / "manifest.csv", "a") as f:
+            f.write(f"{long_id},0,1\n")
+        rc = main(["eval", "--model", str(pipeline["model"]), "--corpus", str(broken)])
+        assert rc == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert [line.split(": [Errno")[0] for line in errors] == [f"error: {long_id} (original)",
+                                                                  f"error: {long_id} (adversarial)"]
+        assert all(f"[Errno {errno.ENAMETOOLONG}]" in line for line in errors)
+
     def test_repeated_manifest_id_exit_code(self, pipeline, tmp_path, capsys):
         import shutil
         broken = tmp_path / "broken"
@@ -365,6 +380,20 @@ class TestUsage:
         }[command]
         assert main(args + ["--images", str(pipeline["images"]), "--limit", "-1"]) == 2
         assert "--limit: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists() and not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_more_labels_than_images_rejected(self, pipeline, tmp_path, command, capsys):
+        images, labels = pipeline["dataset"]
+        images_path, _ = write_idx_pair(tmp_path, images[:10], labels[:10], "few")
+        labels_path = tmp_path / "more-labels-idx1"
+        labels_path.write_bytes(struct.pack(">II", 0x801, 12) + bytes(labels[:12]))
+        args = {
+            "train": ["train", "--model", str(tmp_path / "m.bin")],
+            "attack": ["attack", "--model", str(pipeline["model"]), "--out", str(tmp_path / "c")],
+        }[command]
+        assert main(args + ["--images", str(images_path), "--labels", str(labels_path)]) == 1
+        assert capsys.readouterr().err == "error: 10 images but 12 labels\n"
         assert not (tmp_path / "m.bin").exists() and not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])

@@ -39,6 +39,17 @@ class TestImageType:
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             ag.Image(np.full((2, 2), 300))
 
+    def test_in_range_ints_become_bytes(self):
+        img = ag.Image(np.array([[0, 128], [255, 7]], dtype=np.int64))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels[:, :, 0].tolist() == [[0, 128], [255, 7]]
+
+    def test_equality_with_a_non_image_is_not_implemented(self):
+        img = ag.Image(np.zeros((2, 2), dtype=np.uint8))
+        assert img.__eq__(3) is NotImplemented
+        assert img != 3 and not img == 3
+        assert img == ag.Image(np.zeros((2, 2, 1), dtype=np.uint8))
+
     @pytest.mark.parametrize("shape, message", [
         ((4,), "expected 2-D or 3-D pixel array, got 1-D"),
         ((2, 2, 2), "plane count must be 1 or 3, got 2"),
