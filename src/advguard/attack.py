@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _bytes, _check_integers, _floats, _forward, _is_real, _pixel_gradient, _rows
+from .classifier import _bytes, _check_integer, _dataset, _floats, _forward, _is_real, _pixel_gradient, _rows
 from .image import Image, _chunks, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -29,7 +29,8 @@ class AttackConfig:
     k: Optional[int] = None
 
     def __post_init__(self):
-        _check_integers(self, ["k"] if self.k is not None else [])
+        if self.k is not None:
+            _check_integer(self.k, "k")
         if not (_is_real(self.epsilon) and 0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be a real number in (0, 1], got {self.epsilon!r}")
         if self.variant not in ("full", "topk"):
@@ -50,26 +51,18 @@ class AdversarialExample:
     effectual: bool
 
 
-def _check(model, images, config):
-    """Raise ValueError if the model cannot attack every image under config."""
-    for img in images:
-        if img.pixels.size != model.input_size:
-            raise ValueError(f"dimension mismatch: input has {img.pixels.size} values, "
-                             f"model expects {model.input_size}")
-    if config.variant == "topk" and config.k > model.input_size:
-        raise ValueError(f"k={config.k} exceeds pixel count {model.input_size}")
-
-
-def _fgsm(model, images, config):
-    """FGSM on a checked batch: original labels, adversarial (n, d) byte rows, adversarial labels.
+def _fgsm(model, X, config):
+    """FGSM on (n, d) byte rows from _rows: original labels, adversarial byte rows, adversarial labels.
 
     One forward pass gives every label and softmax row; the loss gradient
     of each row goes back through the hidden layer to the pixels at once.
     Top-k ranks each row by |gradient| with a stable sort, so ties go to
-    the lower pixel index. A model that overflows on a row gives it a NaN
-    step, which raises ValueError instead of being committed as bytes.
+    the lower pixel index. A k above the input size is a ValueError, as is
+    a row that makes the model overflow: its NaN step is never committed.
     """
-    X = _floats(_rows(images))
+    if config.variant == "topk" and config.k > model.input_size:
+        raise ValueError(f"k={config.k} exceeds pixel count {model.input_size}")
+    X = _floats(X)
     z1, _, p = _forward(model, X)
     original = p.argmax(axis=1)
     grad = _pixel_gradient(model, z1, p, original)  # cross-entropy against the original label
@@ -97,8 +90,7 @@ def craft(model, x, config):
     moves only the k pixels with the largest gradient magnitude. A batch of
     one through the same code as build_attack_corpus.
     """
-    _check(model, [x], config)
-    (original_label,), rows, (adversarial_label,) = _fgsm(model, [x], config)
+    (original_label,), rows, (adversarial_label,) = _fgsm(model, _rows([x]), config)
     adv = Image(rows.reshape(x.pixels.shape))
     return AdversarialExample(
         original=x,
@@ -127,35 +119,35 @@ class CorpusSummary:
 def build_attack_corpus(model, images, labels, config, out_dir):
     """Attack every image and persist the effectual (original, adversarial) pairs.
 
-    Images are crafted in bounded batches, and a config or image size the
-    model cannot attack raises ValueError before any file is written. When
-    dataset labels are given, images the model already misclassifies
-    are skipped rather than attacked. Each effectual example is written as
+    Labels, when given, are checked as train checks them, and images the
+    model already misclassifies are skipped rather than attacked. Every
+    image is crafted, in bounded batches, before the directory is made, so
+    an error leaves no output. Each effectual example is written as
     `<id>_orig.pgm` / `<id>_adv.pgm` (ppm for RGB) with one manifest line;
     ids are zero-padded input indices, written in input order.
     """
     images = list(images)
-    if labels is not None and len(labels) != len(images):
-        raise ValueError(f"{len(images)} images but {len(labels)} labels")
-    _check(model, images, config)
+    X, y = (_rows(images), None) if labels is None else _dataset(images, labels, model.n_classes)
+    if X.dtype != np.uint8:  # _rows gives bytes only when every input is an Image, which the corpus stores
+        raise ValueError("attacked images must all be Images, not arrays")
+    crafted = [row for chunk in _chunks(range(len(X)), lambda i: X.shape[1])
+               for row in zip(*_fgsm(model, X[chunk], config))]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     attacked = skipped = 0
-    for chunk in _chunks(range(len(images)), lambda i: images[i].pixels.size):
-        crafted = _fgsm(model, [images[i] for i in chunk], config)
-        for i, original_label, adv, adversarial_label in zip(chunk, *crafted):
-            if labels is not None and original_label != int(labels[i]):
-                skipped += 1
-                continue
-            attacked += 1
-            if adversarial_label == original_label:
-                continue
-            img, sample_id = images[i], f"{i:05d}"
-            ext = "pgm" if img.planes == 1 else "ppm"
-            (out / f"{sample_id}_orig.{ext}").write_bytes(write_pgm_ppm(img))
-            (out / f"{sample_id}_adv.{ext}").write_bytes(write_pgm_ppm(Image(adv.reshape(img.pixels.shape))))
-            rows.append((sample_id, original_label, adversarial_label))
+    for i, (original_label, adv, adversarial_label) in enumerate(crafted):
+        if y is not None and original_label != y[i]:
+            skipped += 1
+            continue
+        attacked += 1
+        if adversarial_label == original_label:
+            continue
+        img, sample_id = images[i], f"{i:05d}"
+        ext = "pgm" if img.planes == 1 else "ppm"
+        (out / f"{sample_id}_orig.{ext}").write_bytes(write_pgm_ppm(img))
+        (out / f"{sample_id}_adv.{ext}").write_bytes(write_pgm_ppm(Image(adv.reshape(img.pixels.shape))))
+        rows.append((sample_id, original_label, adversarial_label))
     with open(out / MANIFEST_NAME, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MANIFEST_HEADER)

@@ -125,11 +125,9 @@ def _is_real(value):
     return type(value) is float or isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _check_integers(config, names):
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, Integral) or isinstance(value, bool):  # a bool is an Integral too
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_integer(value, name):
+    if not isinstance(value, Integral) or isinstance(value, bool):  # a bool is an Integral too, and True would pass as 1
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_integers(self, ("epochs", "batch_size", "seed"))
+        for name in ("epochs", "batch_size", "seed"):
+            _check_integer(getattr(self, name), name)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
         if self.seed < 0:  # numpy's generator would refuse it only after the dataset is converted
@@ -184,20 +183,25 @@ def _bytes(X):
     return np.floor(X, out=X).astype(np.uint8)  # nonnegative, so half away from zero is floor(x + 0.5)
 
 
-def _dataset(images, labels):
-    """_rows of the images, and their labels."""
+def _dataset(images, labels, classes):
+    """_rows of the images, and their labels as an integer array: one per image, not a bool, in 0..classes-1."""
     X = _rows(images)
     y = np.asarray(labels)
     if y.shape != (len(X),):
-        raise ValueError("images and labels are not aligned")
-    if not np.issubdtype(y.dtype, np.integer):  # a float label would be truncated, a bool one taken as 0 or 1
+        found = f"{len(y)} labels" if y.ndim == 1 else f"labels of shape {y.shape}"
+        raise ValueError(f"images and labels are not aligned: {len(X)} images but {found}")
+    # a float label would be truncated, a bool one taken as 0 or 1; np.asarray([0, True]) is an int array
+    if not isinstance(labels, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, labels)):
+        raise ValueError("labels must be integers, got bool")
+    if not np.issubdtype(y.dtype, np.integer):
         raise ValueError(f"labels must be integers, got {y.dtype}")
+    if y.min() < 0 or y.max() >= classes:
+        raise ValueError(f"label out of range 0..{classes - 1}")
     return X, y
 
 
 def _check_class(model, c):
-    if not isinstance(c, Integral) or isinstance(c, bool):  # a bool is an Integral too, and True would index as 1
-        raise ValueError(f"class index must be an integer, got {c!r}")
+    _check_integer(c, "class index")
     if not 0 <= c < model.n_classes:
         raise ValueError(f"class index {c} out of range 0..{model.n_classes - 1}")
 
@@ -288,10 +292,12 @@ def train(images, labels, config=None, hidden=128, classes=10):
     """
     if config is None:
         config = TrainConfig()
-    X, y = _dataset(images, labels)
+    for name, layer, size in (("hidden", "hidden", hidden), ("classes", "output", classes)):
+        _check_integer(size, name)
+        if size < 1:  # ClassifierModel's message for a size of 0, given before the weights are drawn
+            raise ValueError(f"{layer} layer size is {size}")
+    X, y = _dataset(images, labels, classes)
     n, d = X.shape
-    if y.min() < 0 or y.max() >= classes:
-        raise ValueError(f"label out of range 0..{classes - 1}")
 
     rng = np.random.default_rng(config.seed)
     r = _INIT_RANGE
@@ -311,7 +317,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
 
 def accuracy(model, images, labels):
     """Fraction of images whose predicted label (as forward gives it) matches."""
-    X, y = _dataset(images, labels)
+    X, y = _dataset(images, labels, model.n_classes)
     return float(np.mean(np.argmax(_forward(model, _floats(X))[2], axis=1) == y))
 
 

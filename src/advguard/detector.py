@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .attack import MANIFEST_HEADER, MANIFEST_NAME
 from .denoise import DenoiseStrategy, _filter, select_strategy
 from .entropy import _profiles
 from .image import FormatError, Image, _chunks, read_pgm_ppm
@@ -158,15 +159,15 @@ def detect(classify, img, sample_id=""):
 
 
 def _read_manifest(corpus_dir):
-    path = Path(corpus_dir) / "manifest.csv"
+    path = Path(corpus_dir) / MANIFEST_NAME
     if not path.is_file():
-        raise CorpusError(f"empty corpus: no manifest.csv in {corpus_dir}")
+        raise CorpusError(f"empty corpus: no {MANIFEST_NAME} in {corpus_dir}")
     try:
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
     except (UnicodeDecodeError, csv.Error) as e:  # bytes that are not UTF-8, or a field over csv's limit
         raise CorpusError(f"malformed manifest in {corpus_dir}: {e}") from None
-    if not rows or tuple(rows[0]) != ("id", "original_label", "adversarial_label"):
+    if not rows or tuple(rows[0]) != MANIFEST_HEADER:
         raise CorpusError(f"malformed manifest in {corpus_dir}")
     if len(rows) == 1:
         raise CorpusError(f"empty corpus: manifest in {corpus_dir} has no samples")

@@ -117,7 +117,19 @@ class TestFgsm:
             ag.craft(model, img, ag.AttackConfig(epsilon=0.1))
         with pytest.raises(ValueError, match=message):
             ag.build_attack_corpus(model, [img] * 3, None, ag.AttackConfig(epsilon=0.1), tmp_path / "c")
-        assert not list((tmp_path / "c").iterdir())
+        assert not (tmp_path / "c").exists()
+
+    def test_overflow_in_a_later_chunk_leaves_no_output(self, tmp_path):
+        # a black image gives a uniform softmax and a zero step under 1e308 weights, any brighter one NaN rows;
+        # the one bright image is in the second of two chunks (512 + 88 images)
+        model = ag.ClassifierModel(np.full((64, 8), 1e308), np.zeros(8), np.full((8, 4), 1e308), np.zeros(4))
+        images = [ag.Image(np.zeros((8, 8), dtype=np.uint8))] * 600
+        images[550] = ag.Image(np.full((8, 8), 90, dtype=np.uint8))
+        with pytest.raises(ValueError, match="non-finite FGSM step"):
+            ag.build_attack_corpus(model, images, None, ag.AttackConfig(epsilon=0.1), tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+        assert ag.build_attack_corpus(model, images[:512], None, ag.AttackConfig(epsilon=0.1),
+                                      tmp_path / "c").attacked == 512  # the first chunk alone crafts
 
     def test_moves_along_the_input_gradient_sign(self, synth_model, synth_data):
         config = ag.AttackConfig(epsilon=0.2)
@@ -235,13 +247,31 @@ class TestCorpus:
 
     @pytest.mark.parametrize("fields, size, message", [
         ({"variant": "topk", "k": 65}, 8, "k=65 exceeds pixel count 64"),
-        ({}, 7, "input has 49 values, model expects 64"),
+        ({}, 7, "image 10 has 49 values, image 0 has 64"),
     ], ids=["k-above-pixels", "image-size"])
     def test_attack_errors_raised_before_writing(self, synth_model, synth_data, tmp_path, fields, size, message):
         images = synth_data[0][:10] + template_digits(1, size=size, classes=4)[0]
         with pytest.raises(ValueError, match=message):
             ag.build_attack_corpus(synth_model, images, None, ag.AttackConfig(epsilon=0.3, **fields),
                                    tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    def test_every_image_of_the_wrong_size_raises_before_writing(self, synth_model, tmp_path):
+        images = template_digits(3, size=7, classes=4)[0]
+        with pytest.raises(ValueError, match="dimension mismatch: input has 49 values, model expects 64"):
+            ag.build_attack_corpus(synth_model, images, None, ag.AttackConfig(epsilon=0.3), tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    def test_arrays_rejected_before_writing(self, synth_model, synth_data, tmp_path):
+        images = synth_data[0][:10] + [synth_data[0][10].pixels / 255.0]
+        with pytest.raises(ValueError, match="^attacked images must all be Images, not arrays$"):
+            ag.build_attack_corpus(synth_model, images, None, ag.AttackConfig(epsilon=0.3), tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("labels", [None, []])
+    def test_no_images_is_an_empty_dataset(self, synth_model, tmp_path, labels):
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            ag.build_attack_corpus(synth_model, [], labels, ag.AttackConfig(epsilon=0.3), tmp_path / "c")
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("n_labels", [9, 11])

@@ -243,6 +243,22 @@ class TestTraining:
         with pytest.raises(ValueError, match="^epochs and batch size must be positive$"):
             ag.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("sizes, message", [
+        ({"hidden": True}, "hidden must be an integer, got True"),
+        ({"hidden": 2.0}, "hidden must be an integer, got 2.0"),
+        ({"hidden": -1}, "hidden layer size is -1"),
+        ({"hidden": 0}, "hidden layer size is 0"),
+        ({"classes": True}, "classes must be an integer, got True"),
+        ({"classes": "3"}, "classes must be an integer, got '3'"),
+        ({"classes": 0}, "output layer size is 0"),
+    ], ids=["bool-hidden", "float-hidden", "negative-hidden", "zero-hidden", "bool-classes", "str-classes",
+            "zero-classes"])
+    def test_layer_sizes_must_be_positive_integers(self, sizes, message):
+        img = ag.Image(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ag.train([img], [0], ag.TrainConfig(epochs=1), **{"hidden": 2, "classes": 3, **sizes})
+        assert ag.train([img], [0], ag.TrainConfig(epochs=1), hidden=np.int64(2), classes=np.int64(1)).n_classes == 1
+
     def test_no_config_is_the_default_config(self):
         images, labels = template_digits(40, seed=6, size=4, classes=3)
         default = ag.train(images, labels, hidden=4, classes=3)
@@ -340,6 +356,29 @@ class TestSingleChecks:
         with pytest.raises(ValueError, match=f"^labels must be integers, got {re.escape(dtype)}$"):
             call(images, labels)
         call(images, np.array([0, 1], dtype=np.uint8))  # any integer dtype passes
+
+    @pytest.mark.parametrize("call", ["train", "accuracy", "build_attack_corpus"])
+    @pytest.mark.parametrize("labels, message", [
+        ([0.9, 1.9], "labels must be integers, got float64"),
+        (["0", "1"], "labels must be integers, got <U1"),
+        ([0, True], "labels must be integers, got bool"),  # np.asarray makes it an int64 array
+        ([0, 3], "label out of range 0..2"),
+        ([0], "images and labels are not aligned: 2 images but 1 labels"),
+    ], ids=["float", "str", "bool-among-ints", "class-count", "misaligned"])
+    def test_one_label_rule(self, call, labels, message, tmp_path):
+        # train, accuracy and build_attack_corpus read labels through one check, against 3 classes
+        images = [ag.Image(np.full((2, 2), v, dtype=np.uint8)) for v in (0, 200)]
+        run = {
+            "train": lambda y: ag.train(images, y, ag.TrainConfig(epochs=1), hidden=2, classes=3),
+            "accuracy": lambda y: ag.accuracy(zero_model(d=4, n=3), images, y),
+            "build_attack_corpus": lambda y: ag.build_attack_corpus(
+                random_model(np.random.default_rng(0), d=4), images, y, ag.AttackConfig(epsilon=0.5),
+                tmp_path / "c"),
+        }[call]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(labels)
+        assert not (tmp_path / "c").exists()
+        run(np.array([0, 2], dtype=np.uint8))  # one in-range integer per image passes
 
     def test_diverged_training_rejected(self):
         rng = np.random.default_rng(0)

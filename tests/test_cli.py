@@ -182,6 +182,15 @@ class TestAttackCommand:
         assert "k applies only to the top-k variant" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    def test_no_images_is_an_error(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "attack", "--model", str(pipeline["model"]), "--images", str(pipeline["images"]),
+            "--labels", str(pipeline["labels"]), "--out", str(tmp_path / "c"), "--limit", "0",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: empty dataset\n"
+        assert not (tmp_path / "c").exists()
+
 
 class TestDetectCommand:
     def test_reports_labels(self, pipeline, tmp_path, capsys):
