@@ -10,6 +10,7 @@ so the whole detection experiment runs at desk scale.
 from .attack import (
     AdversarialExample,
     AttackConfig,
+    CorpusError,
     CorpusSummary,
     build_attack_corpus,
     craft,
@@ -41,7 +42,6 @@ from .denoise import (
     smooth,
 )
 from .detector import (
-    CorpusError,
     DetectionError,
     DetectionStats,
     EvaluationResult,

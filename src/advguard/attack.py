@@ -1,4 +1,4 @@
-"""Fast-gradient-sign adversarial example crafting and corpus persistence.
+"""Fast-gradient-sign adversarial example crafting, and the corpus format: its writer and its readers.
 
 Attacks run in the [0, 1] float domain and the result is committed to
 8-bit before anything downstream sees it, so effectuality is always
@@ -7,6 +7,9 @@ the sign of the loss gradient with respect to the input; sign(0) is 0.
 """
 
 import csv
+import errno
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -14,10 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .classifier import _bytes, _check_integer, _dataset, _floats, _forward, _is_real, _pixel_gradient, _rows
-from .image import Image, _chunks, write_pgm_ppm
+from .image import FormatError, Image, _chunks, read_pgm_ppm, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("id", "original_label", "adversarial_label")
+
+
+class CorpusError(RuntimeError):
+    """The corpus directory is missing, empty, or unreadable."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,8 @@ def _fgsm(model, X, config):
     the lower pixel index. A k above the input size is a ValueError, as is
     a row that makes the model overflow: its NaN step is never committed.
     """
+    if X.dtype != np.uint8:  # _rows gives bytes only when every input is an Image, which the corpus stores
+        raise ValueError("attacked images must all be Images, not arrays")
     if config.variant == "topk" and config.k > model.input_size:
         raise ValueError(f"k={config.k} exceeds pixel count {model.input_size}")
     X = _floats(X)
@@ -128,8 +137,6 @@ def build_attack_corpus(model, images, labels, config, out_dir):
     """
     images = list(images)
     X, y = (_rows(images), None) if labels is None else _dataset(images, labels, model.n_classes)
-    if X.dtype != np.uint8:  # _rows gives bytes only when every input is an Image, which the corpus stores
-        raise ValueError("attacked images must all be Images, not arrays")
     crafted = [row for chunk in _chunks(range(len(X)), lambda i: X.shape[1])
                for row in zip(*_fgsm(model, X[chunk], config))]
     out = Path(out_dir)
@@ -153,3 +160,71 @@ def build_attack_corpus(model, images, labels, config, out_dir):
         writer.writerow(MANIFEST_HEADER)
         writer.writerows(rows)
     return CorpusSummary(out, attacked, skipped, rows)
+
+
+def _read_manifest(corpus_dir):
+    path = Path(corpus_dir) / MANIFEST_NAME
+    if not path.is_file():
+        raise CorpusError(f"empty corpus: no {MANIFEST_NAME} in {corpus_dir}")
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as e:  # bytes that are not UTF-8, or a field over csv's limit
+        raise CorpusError(f"malformed manifest in {corpus_dir}: {e}") from None
+    if not rows or tuple(rows[0]) != MANIFEST_HEADER:
+        raise CorpusError(f"malformed manifest in {corpus_dir}")
+    if len(rows) == 1:
+        raise CorpusError(f"empty corpus: manifest in {corpus_dir} has no samples")
+    ids = {}  # id: its line, in manifest order
+    for line, row in enumerate(rows[1:], start=2):
+        # ids name files through _read_sample, so each must be a plain file-name stem
+        if len(row) != 3 or row[0] in ("", ".", "..") or any(c in row[0] for c in "/\\\0"):
+            raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} is {row!r}")
+        if ids.setdefault(row[0], line) != line:  # a repeated id would read and count one pair twice
+            raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} repeats id {row[0]!r}")
+    return list(ids)
+
+
+# open errors on names that Path.is_file() calls no file: missing, under a non-directory, a link loop, a socket
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO)
+# O_NONBLOCK exists only on POSIX, O_BINARY (no newline translation) only on Windows
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _read_sample(corpus_dir, sample_id, suffix):
+    """The bytes of <id>_<suffix>.pgm, else of the .ppm; FileNotFoundError naming the .pgm if neither is a file.
+
+    One open and one fstat per name. O_NONBLOCK lets a FIFO open without a
+    writer, so it is passed over like a directory instead of waiting forever.
+    """
+    for ext in ("pgm", "ppm"):
+        try:
+            fd = os.open(os.path.join(corpus_dir, f"{sample_id}_{suffix}.{ext}"), _OPEN_FLAGS)
+        except OSError as e:
+            if e.errno in _NOT_A_FILE:
+                continue
+            raise
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                parts, left = [], info.st_size
+                while left and (part := os.read(fd, left)):  # one read unless the file is over 2 GiB
+                    parts.append(part)
+                    left -= len(part)
+                return b"".join(parts)
+        finally:
+            os.close(fd)
+    raise FileNotFoundError(f"{sample_id}_{suffix}.pgm")
+
+
+def _read_samples(corpus_dir, ids, errors):
+    """(kind, sample id, Image) per readable corpus file in manifest order; read failures go to `errors`."""
+    corpus_dir = str(Path(corpus_dir))  # an OSError names the file as pathlib spells it
+    for sample_id in ids:
+        for kind, suffix in (("original", "orig"), ("adversarial", "adv")):
+            try:
+                img = read_pgm_ppm(_read_sample(corpus_dir, sample_id, suffix))
+            except (OSError, FormatError) as e:
+                errors.append(f"{sample_id} ({kind}): {e}")
+                continue
+            yield kind, sample_id, img

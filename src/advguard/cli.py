@@ -206,7 +206,7 @@ def main(argv=None):
         return e.code if e.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except detector.CorpusError as e:
+    except attack_mod.CorpusError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CORPUS
     except (detector.DetectionError, clf.ExternalClassifierError) as e:

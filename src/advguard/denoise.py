@@ -1,10 +1,11 @@
 """The filter's three settings, scalar quantization, cross-mask smoothing, and the combined denoising filter.
 
 select_strategy maps an image's 2-D entropy to 2, 4 or 6 quantizer
-intervals. The adaptive filter quantizes every input; the 6-interval
-setting additionally smooths, and the final output keeps, per pixel,
-whichever candidate (quantized or smoothed-quantized) stays closer to the
-original intensity. Ties keep the quantized value.
+intervals. The adaptive filter quantizes every input, one image or many
+same-shape images as one stack; the 6-interval setting additionally
+smooths, and the final output keeps, per pixel, whichever candidate
+(quantized or smoothed-quantized) stays closer to the original intensity.
+Ties keep the quantized value.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .classifier import _is_real
-from .entropy import EntropyProfile, _tap_mean, entropy_2d
+from .entropy import EntropyProfile, _profiles, _tap_mean, entropy_2d
 from .image import Image
 
 # the uniform left-value quantizer's step per interval count; with 6 intervals the last one is the short [250, 255]
@@ -126,6 +127,25 @@ def _filter(pixels, strategy):
         return quantized, None, quantized
     smoothed = _tap_mean(quantized, _CROSS_TAPS)
     return quantized, smoothed, _combine(pixels, quantized, smoothed)
+
+
+def _denoise(images):
+    """Entropy profile, strategy and denoised Image of each same-shape image, filtered as stacks."""
+    planes = images[0].planes
+    stack = np.concatenate([img.pixels for img in images], axis=2)
+    profiles = _profiles(stack, planes)
+    strategies = [select_strategy(p) for p in profiles]
+    groups = {}  # strategy -> indices of its images, in order
+    for i, strategy in enumerate(strategies):
+        groups.setdefault(strategy, []).append(i)
+    denoised = [None] * len(images)
+    for strategy, members in groups.items():
+        group = stack if len(members) == len(images) else stack[:, :, [
+            i * planes + k for i in members for k in range(planes)]]
+        combined = _filter(group, strategy)[2]
+        for j, i in enumerate(members):
+            denoised[i] = Image(combined[:, :, j * planes:(j + 1) * planes])
+    return zip(profiles, strategies, denoised)
 
 
 def adaptive_filter(img, strategy=None):

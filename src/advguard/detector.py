@@ -1,4 +1,4 @@
-"""Label-change detection and recall/precision evaluation over a corpus.
+"""The label-change rule, its classifier batching, and recall/precision evaluation over a corpus.
 
 A sample is flagged adversarial when the classifier's top-1 label changes
 after adaptive denoising. Evaluation treats the persisted adversarial
@@ -6,26 +6,17 @@ files as positives and their originals as benign negatives.
 """
 
 import csv
-import errno
-import os
-import stat
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .attack import MANIFEST_HEADER, MANIFEST_NAME
-from .denoise import DenoiseStrategy, _filter, select_strategy
-from .entropy import _profiles
-from .image import FormatError, Image, _chunks, read_pgm_ppm
+from .attack import _read_manifest, _read_samples
+from .denoise import DenoiseStrategy, _denoise
+from .image import _chunks
 
 REPORT_HEADER = ("id", "kind", "original_label", "denoised_label", "flagged", "h2d", "intervals", "smoothed")
 SUMMARY_HEADER = ("tp", "fn", "fp", "tn", "recall", "precision")
-
-
-class CorpusError(RuntimeError):
-    """The corpus directory is missing, empty, or unreadable."""
 
 
 class DetectionError(RuntimeError):
@@ -68,25 +59,6 @@ class EvaluationResult:
     @property
     def ok(self):
         return not self.corpus_errors and not self.classifier_errors
-
-
-def _denoise(images):
-    """Entropy profile, strategy and denoised Image of each same-shape image, filtered as stacks."""
-    planes = images[0].planes
-    stack = np.concatenate([img.pixels for img in images], axis=2)
-    profiles = _profiles(stack, planes)
-    strategies = [select_strategy(p) for p in profiles]
-    groups = {}  # strategy -> indices of its images, in order
-    for i, strategy in enumerate(strategies):
-        groups.setdefault(strategy, []).append(i)
-    denoised = [None] * len(images)
-    for strategy, members in groups.items():
-        group = stack if len(members) == len(images) else stack[:, :, [
-            i * planes + k for i in members for k in range(planes)]]
-        combined = _filter(group, strategy)[2]
-        for j, i in enumerate(members):
-            denoised[i] = Image(combined[:, :, j * planes:(j + 1) * planes])
-    return zip(profiles, strategies, denoised)
 
 
 def _label_pairs(batch, raw, denoised):
@@ -156,74 +128,6 @@ def detect(classify, img, sample_id=""):
     if isinstance(result, DetectionError):
         raise result
     return result
-
-
-def _read_manifest(corpus_dir):
-    path = Path(corpus_dir) / MANIFEST_NAME
-    if not path.is_file():
-        raise CorpusError(f"empty corpus: no {MANIFEST_NAME} in {corpus_dir}")
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-    except (UnicodeDecodeError, csv.Error) as e:  # bytes that are not UTF-8, or a field over csv's limit
-        raise CorpusError(f"malformed manifest in {corpus_dir}: {e}") from None
-    if not rows or tuple(rows[0]) != MANIFEST_HEADER:
-        raise CorpusError(f"malformed manifest in {corpus_dir}")
-    if len(rows) == 1:
-        raise CorpusError(f"empty corpus: manifest in {corpus_dir} has no samples")
-    ids = {}  # id: its line, in manifest order
-    for line, row in enumerate(rows[1:], start=2):
-        # ids name files through _read_sample, so each must be a plain file-name stem
-        if len(row) != 3 or row[0] in ("", ".", "..") or any(c in row[0] for c in "/\\\0"):
-            raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} is {row!r}")
-        if ids.setdefault(row[0], line) != line:  # a repeated id would read and count one pair twice
-            raise CorpusError(f"malformed manifest in {corpus_dir}: line {line} repeats id {row[0]!r}")
-    return list(ids)
-
-
-# open errors on names that Path.is_file() calls no file: missing, under a non-directory, a link loop, a socket
-_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO)
-# O_NONBLOCK exists only on POSIX, O_BINARY (no newline translation) only on Windows
-_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
-
-
-def _read_sample(corpus_dir, sample_id, suffix):
-    """The bytes of <id>_<suffix>.pgm, else of the .ppm; FileNotFoundError naming the .pgm if neither is a file.
-
-    One open and one fstat per name. O_NONBLOCK lets a FIFO open without a
-    writer, so it is passed over like a directory instead of waiting forever.
-    """
-    for ext in ("pgm", "ppm"):
-        try:
-            fd = os.open(os.path.join(corpus_dir, f"{sample_id}_{suffix}.{ext}"), _OPEN_FLAGS)
-        except OSError as e:
-            if e.errno in _NOT_A_FILE:
-                continue
-            raise
-        try:
-            info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode):
-                parts, left = [], info.st_size
-                while left and (part := os.read(fd, left)):  # one read unless the file is over 2 GiB
-                    parts.append(part)
-                    left -= len(part)
-                return b"".join(parts)
-        finally:
-            os.close(fd)
-    raise FileNotFoundError(f"{sample_id}_{suffix}.pgm")
-
-
-def _read_samples(corpus_dir, ids, errors):
-    """(kind, sample id, Image) per readable corpus file in manifest order; read failures go to `errors`."""
-    corpus_dir = str(Path(corpus_dir))  # an OSError names the file as pathlib spells it
-    for sample_id in ids:
-        for kind, suffix in (("original", "orig"), ("adversarial", "adv")):
-            try:
-                img = read_pgm_ppm(_read_sample(corpus_dir, sample_id, suffix))
-            except (OSError, FormatError) as e:
-                errors.append(f"{sample_id} ({kind}): {e}")
-                continue
-            yield kind, sample_id, img
 
 
 def evaluate(classify, corpus_dir):

@@ -108,6 +108,10 @@ class TestFgsm:
         assert a.adversarial == b.adversarial
         assert (a.original_label, a.adversarial_label) == (b.original_label, b.adversarial_label)
 
+    def test_array_rejected(self, synth_model):
+        with pytest.raises(ValueError, match="^attacked images must all be Images, not arrays$"):
+            ag.craft(synth_model, np.zeros(64), ag.AttackConfig())
+
     @pytest.mark.filterwarnings("error")  # the error comes first: numpy does not warn on the way
     def test_overflowing_model_raises_before_committing_bytes(self, tmp_path):
         model = ag.ClassifierModel(np.full((64, 8), 1e308), np.zeros(8), np.full((8, 4), 1e308), np.zeros(4))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import advguard as ag
 import oracles
-from advguard.denoise import _combine
+from advguard.denoise import _combine, _denoise
+from test_entropy import MIRRORS
 
 SIX_INTERVAL_CODEBOOK = (
     (0, 49, 0),
@@ -311,6 +312,24 @@ STAGE_DIGESTS = {
         "6d1d5c56ea7d4636d3cdf494641b35ae1e2ba2793f271d39b9b4e37e9330c6aa",
         "2ebc8d508e345ccbd5af2edc2f92f5764e6442b9df96597234e5a56ad7be40d4"),
 }
+
+
+def test_band_images_as_one_stack():
+    # the one mixed-setting 224x224x3 stack through the grouped filter: each image keeps its pinned combined
+    # digest, its band and entropy_2d's h2d bits, and a mirrored stack gives the same bits and bands and the
+    # mirrored pixels
+    bands = (2, 4, 6)
+    images = [band_image(band) for band in bands]
+    stacked = list(_denoise(images))
+    for (profile, strategy, denoised), band, img in zip(stacked, bands, images):
+        assert profile.h2d.hex() == ag.entropy_2d(img).h2d.hex()
+        assert strategy.intervals == band
+        assert hashlib.sha256(denoised.pixels.tobytes()).hexdigest() == STAGE_DIGESTS[band][2]
+    for name, flip in MIRRORS.items():
+        mirrored = _denoise([ag.Image(flip(img.pixels)) for img in images])
+        for (profile, strategy, denoised), (base, base_strategy, base_denoised) in zip(mirrored, stacked):
+            assert (profile.h2d.hex(), strategy) == (base.h2d.hex(), base_strategy), name
+            assert denoised.pixels.tobytes() == flip(base_denoised.pixels).tobytes(), name
 
 
 class TestAdaptiveFilter:

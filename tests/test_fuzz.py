@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import advguard as ag
 from advguard.cli import main
-from advguard.detector import _read_manifest
+from advguard.attack import _read_manifest
 
 SIZES = st.integers(0, 5) | st.integers(0, 2**32 - 1)
 

@@ -6,7 +6,9 @@ test was written: a change that moves them changed behaviour somewhere in
 the chain. They are not a quality target.
 """
 
+import ast
 import hashlib
+import pathlib
 import types
 
 import advguard as ag
@@ -51,3 +53,27 @@ def test_public_surface_is_pinned():
     public = sorted(name for name in dir(ag)
                     if not name.startswith("_") and not isinstance(getattr(ag, name), types.ModuleType))
     assert public == PUBLIC_NAMES
+
+
+# the sibling modules each module of the package imports, so the layering changes only by an edit here
+SIBLING_IMPORTS = {
+    "__init__": {"attack", "classifier", "denoise", "detector", "entropy", "image"},
+    "attack": {"classifier", "image"},
+    "classifier": {"image"},
+    "cli": {"attack", "classifier", "denoise", "detector", "entropy", "image"},
+    "denoise": {"classifier", "entropy", "image"},
+    "detector": {"attack", "denoise", "image"},
+    "entropy": {"image"},
+    "image": set(),
+}
+
+
+def test_module_layering_is_pinned():
+    found = {}
+    for path in pathlib.Path(ag.__file__).parent.glob("*.py"):
+        imports = set()  # the package imports its own modules relatively: from .x import ..., from . import x
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports.update([node.module] if node.module else [alias.name for alias in node.names])
+        found[path.stem] = imports
+    assert found == SIBLING_IMPORTS
