@@ -344,6 +344,19 @@ class TestSingleChecks:
             fn(zero_model(n=3), np.zeros(4), c)
         fn(zero_model(n=3), np.zeros(4), np.int64(1))  # numpy integers pass
 
+    @pytest.mark.parametrize("call", [
+        lambda images, labels: ag.train(images, labels, ag.TrainConfig(epochs=1), hidden=2),
+        lambda images, labels: ag.accuracy(zero_model(d=4), images, labels),
+    ], ids=["train", "accuracy"])
+    @pytest.mark.parametrize("labels, dtype", [
+        ([0.0, 1.9], "float64"), (["0", "1"], "<U1"),
+    ], ids=["float", "str"])
+    def test_non_integer_labels_rejected(self, call, labels, dtype):
+        images = [ag.Image(np.zeros((2, 2), dtype=np.uint8))] * 2
+        with pytest.raises(ValueError, match=f"^labels must be integers, got {re.escape(dtype)}$"):
+            call(images, labels)
+        call(images, np.array([0, 1], dtype=np.uint8))  # any integer dtype passes
+
     @pytest.mark.parametrize("call", ["train", "accuracy", "build_attack_corpus"])
     @pytest.mark.parametrize("labels, message", [
         ([0.9, 1.9], "labels must be integers, got float64"),
