@@ -89,7 +89,7 @@ def _fgsm(model, X, config):
     if np.isnan(stepped).any():  # sign() bounds every step but a NaN one
         raise ValueError("non-finite FGSM step: the model overflows on this input")
     adv = _bytes(stepped)
-    return original.tolist(), adv, _forward(model, _floats(adv))[2].argmax(axis=1).tolist()
+    return original.tolist(), adv, _forward(model, adv)[2].argmax(axis=1).tolist()
 
 
 def craft(model, x, config):

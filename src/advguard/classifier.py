@@ -151,8 +151,8 @@ class TrainConfig:
 def _rows(images):
     """Images, or rows of [0, 1] values, as an (n, d) matrix: uint8 bytes when all are Images, else float64.
 
-    Bytes take an eighth of the memory; _floats converts them where the
-    network needs them, so training holds only one mini-batch as floats.
+    Bytes take an eighth of the memory. _forward and _parameter_gradients take
+    them as they are and convert them where they need floats.
     """
     images = list(images)
     if not images:
@@ -221,12 +221,12 @@ def _first_layer(X, w1):
 
 
 def _forward(model, X):
-    """The network on an (n, d) batch: hidden pre-activations, activations, softmax rows."""
+    """The network on an (n, d) batch of rows from _rows: hidden pre-activations, activations, softmax rows."""
     if X.shape[1] != model.input_size:
         raise ValueError(f"dimension mismatch: input has {X.shape[1]} values, model expects {model.input_size}")
     # weights that overflow give NaN rows, which PredictionVector names; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        z1 = _first_layer(X, model.w1) + model.b1
+        z1 = _first_layer(_floats(X), model.w1) + model.b1  # whole, not per w1 slice: see README's performance notes
         a1 = np.maximum(z1, 0.0)
         z2 = a1 @ model.w2 + model.b2
         e = np.exp(z2 - z2.max(axis=1, keepdims=True))
@@ -244,7 +244,8 @@ def _pixel_gradient(model, z1, p, labels):
 
 
 def _parameter_gradients(model, X, labels):
-    """The mean cross-entropy's gradients over float rows X against their labels, for (w1, b1, w2, b2)."""
+    """The mean cross-entropy's gradients over rows X from _rows against their labels, for (w1, b1, w2, b2)."""
+    X = _floats(X)  # once here, for X.T @ g1; _forward's conversion of float rows is then the identity
     z1, a1, p = _forward(model, X)
     g2 = (p - np.eye(model.n_classes)[labels]) / len(X)
     g1 = _hidden_gradient(model, z1, g2)
@@ -253,7 +254,7 @@ def _parameter_gradients(model, X, labels):
 
 def forward(model, x):
     """Run the network on a flattened input; returns a PredictionVector."""
-    return PredictionVector(_forward(model, _floats(_rows([x])))[2])
+    return PredictionVector(_forward(model, _rows([x]))[2])
 
 
 def loss(model, x, c):
@@ -271,14 +272,14 @@ def input_gradient(model, x, c):
     the [0, 1] domain either way.
     """
     _check_class(model, c)
-    z1, _, p = _forward(model, _floats(_rows([x])))
+    z1, _, p = _forward(model, _rows([x]))
     return _pixel_gradient(model, z1, p, [c]).reshape(x.pixels.shape if isinstance(x, Image) else np.shape(x))
 
 
 def parameter_gradients(model, x, c):
     """Gradients of the loss with respect to (w1, b1, w2, b2)."""
     _check_class(model, c)
-    return _parameter_gradients(model, _floats(_rows([x])), [c])
+    return _parameter_gradients(model, _rows([x]), [c])
 
 
 def train(images, labels, config=None, hidden=128, classes=10):
@@ -307,7 +308,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = _parameter_gradients(model, _floats(X[batch]), y[batch])  # all four before any update
+            grads = _parameter_gradients(model, X[batch], y[batch])  # all four before any update
             for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
                 grad *= config.learning_rate  # in place: no second gradient-sized temporary
                 param -= grad
@@ -318,7 +319,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
 def accuracy(model, images, labels):
     """Fraction of images whose predicted label (as forward gives it) matches."""
     X, y = _dataset(images, labels, model.n_classes)
-    return float(np.mean(np.argmax(_forward(model, _floats(X))[2], axis=1) == y))
+    return float(np.mean(np.argmax(_forward(model, X)[2], axis=1) == y))
 
 
 def save_model(model, path):
@@ -363,7 +364,7 @@ class ModelClassifier:
 
     def batch(self, images):
         """Classify same-size Images with one forward pass over all their rows."""
-        return PredictionVector._batch(_forward(self.model, _floats(_rows(images)))[2])
+        return PredictionVector._batch(_forward(self.model, _rows(images))[2])
 
 
 def _check_timeout(timeout):

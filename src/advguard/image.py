@@ -1,8 +1,8 @@
 """The 8-bit image type and binary PGM/PPM/IDX I/O.
 
 Images are 8-bit with pixels shaped ``(height, width, planes)``; planes is
-1 (grayscale) or 3 (interleaved RGB). The real-valued [0, 1] domain exists
-only as ``(n, d)`` rows inside the classifier and attack code.
+1 (grayscale) or 3 (interleaved RGB). Only the classifier and the FGSM
+step see them as [0, 1] floats, and each converts the bytes itself.
 """
 
 import gzip

@@ -494,7 +494,10 @@ def first_layer_bound(X, model):
 
 
 class TestFirstLayerSlices:
-    """_forward multiplies w1 in row slices of about _SLICE_BYTES, and a w1 within one slice in one product."""
+    """_forward multiplies w1 in row slices of about _SLICE_BYTES, and a w1 within one slice in one product.
+
+    It takes byte rows as _rows gives them, with the bits of their [0, 1] floats.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 512])
     def test_digit_model_is_one_product_bit_for_bit(self, n):
@@ -527,6 +530,27 @@ class TestFirstLayerSlices:
         assert np.all(np.abs(z1 - (X @ model.w1 + model.b1)) <= first_layer_bound(X, model))
         by_row = X[:, :1] @ model.w1[:1] + X[:, 1:2] @ model.w1[1:2] + X[:, 2:] @ model.w1[2:] + model.b1
         assert z1.tobytes() == by_row.tobytes()
+
+    @pytest.mark.parametrize("d, h, n", [
+        (784, 128, 1), (784, 128, 2), (784, 128, 512),  # one product
+        (224 * 224 * 3, 16, 1), (224 * 224 * 3, 16, 2), (224 * 224 * 3, 16, 12),  # 19 slices; 12 rows: 6 RGB images
+    ])
+    def test_byte_rows_give_the_bits_of_their_floats(self, d, h, n):
+        rng = np.random.default_rng([d, h, n])
+        model = random_model(rng, d=d, h=h, n=10, scale=0.05)
+        Xb = rng.integers(0, 256, (n, d), dtype=np.uint8)
+        for got, want in zip(classifier._forward(model, Xb), classifier._forward(model, classifier._floats(Xb))):
+            assert got.tobytes() == want.tobytes()  # z1, a1 and the softmax rows
+
+    @pytest.mark.parametrize("d, h", [(12, 5), (3, 2**17 + 1)])  # one product; one w1 row per slice
+    def test_parameter_gradients_of_byte_rows(self, d, h):
+        rng = np.random.default_rng([d, h])
+        model = random_model(rng, d=d, h=h, n=3)
+        Xb = rng.integers(0, 256, (4, d), dtype=np.uint8)
+        labels = [0, 2, 1, 2]
+        got = classifier._parameter_gradients(model, Xb, labels)
+        want = classifier._parameter_gradients(model, classifier._floats(Xb), labels)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_rgb_batch_of_one_equals_forward(self):
         rng = np.random.default_rng(224)
