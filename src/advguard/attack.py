@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classifier import _bytes, _check_integer, _dataset, _floats, _forward, _is_real, _pixel_gradient, _rows
+from .classifier import _bytes, _check_integer, _dataset, _floats, _forward, _is_real, _pixel_gradient, _rows, _softmax
 from .image import FormatError, Image, _chunks, read_pgm_ppm, write_pgm_ppm
 
 MANIFEST_NAME = "manifest.csv"
@@ -74,7 +74,8 @@ def _fgsm(model, X, config):
     X = _floats(X)
     z1, _, p = _forward(model, X)
     original = p.argmax(axis=1)
-    grad = _pixel_gradient(model, z1, p, original)  # cross-entropy against the original label
+    with np.errstate(over="ignore"):  # only the sign is used, and sign(+-inf) is +-1
+        grad = _pixel_gradient(model, z1, p, original)  # cross-entropy against the original label
     if config.variant == "topk":
         order = np.argsort(-np.abs(grad), axis=1, kind="stable")
         mask = np.zeros(grad.shape, dtype=bool)
@@ -89,7 +90,7 @@ def _fgsm(model, X, config):
     if np.isnan(stepped).any():  # sign() bounds every step but a NaN one
         raise ValueError("non-finite FGSM step: the model overflows on this input")
     adv = _bytes(stepped)
-    return original.tolist(), adv, _forward(model, adv)[2].argmax(axis=1).tolist()
+    return original.tolist(), adv, _softmax(model, adv).argmax(axis=1).tolist()
 
 
 def craft(model, x, config):

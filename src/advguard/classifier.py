@@ -61,17 +61,6 @@ class PredictionVector:
         _check_confidences(arr[None], tol)
         self.confidences = arr
 
-    @classmethod
-    def _batch(cls, P, tol=1e-6):
-        """One PredictionVector per row of an (n, k) float64 matrix, all checked at once."""
-        _check_confidences(P, tol)
-        vectors = []
-        for row in P:
-            vector = object.__new__(cls)
-            vector.confidences = row
-            vectors.append(vector)
-        return vectors
-
     def label(self):
         return int(np.argmax(self.confidences))
 
@@ -233,6 +222,13 @@ def _forward(model, X):
         return z1, a1, e / e.sum(axis=1, keepdims=True)
 
 
+def _softmax(model, X):
+    """_forward's softmax rows of the rows X from _rows, all checked at once as PredictionVector checks one."""
+    P = _forward(model, X)[2]
+    _check_confidences(P, 1e-6)
+    return P
+
+
 def _hidden_gradient(model, z1, g2):
     """The gradient at the hidden pre-activations z1, given the one at the softmax input."""
     return (g2 @ model.w2.T) * (z1 > 0.0)
@@ -319,7 +315,7 @@ def train(images, labels, config=None, hidden=128, classes=10):
 def accuracy(model, images, labels):
     """Fraction of images whose predicted label (as forward gives it) matches."""
     X, y = _dataset(images, labels, model.n_classes)
-    return float(np.mean(np.argmax(_forward(model, X)[2], axis=1) == y))
+    return float(np.mean(np.argmax(_softmax(model, X), axis=1) == y))
 
 
 def save_model(model, path):
@@ -363,8 +359,8 @@ class ModelClassifier:
         return forward(self.model, img)
 
     def batch(self, images):
-        """Classify same-size Images with one forward pass over all their rows."""
-        return PredictionVector._batch(_forward(self.model, _rows(images))[2])
+        """(n, k) float64 softmax rows of same-size Images from one forward pass, checked as forward checks each."""
+        return _softmax(self.model, _rows(images))
 
 
 def _check_timeout(timeout):

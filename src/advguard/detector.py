@@ -64,10 +64,12 @@ class EvaluationResult:
 def _label_pairs(batch, raw, denoised):
     """(raw label, denoised label) per image, lowest index on ties; if classifying fails, its exception for each."""
     try:
-        predictions = list(batch(raw + denoised))
-        if len(predictions) != 2 * len(raw):
-            raise ValueError(f"batch returned {len(predictions)} predictions for {2 * len(raw)} images")
-        labels = np.argmax(np.array([p.confidences for p in predictions]), axis=1).tolist()
+        P = np.asarray(batch(raw + denoised))  # (2n, k) confidence rows, checked by the classifier that made them
+        if len(P) != 2 * len(raw):
+            raise ValueError(f"batch returned {len(P)} predictions for {2 * len(raw)} images")
+        if P.ndim != 2:
+            raise ValueError(f"batch returned an array of shape {P.shape}, expected ({len(P)}, k) confidence rows")
+        labels = np.argmax(P, axis=1).tolist()
     except Exception as e:
         return [e] * len(raw)
     return list(zip(labels[:len(raw)], labels[len(raw):]))
@@ -77,12 +79,12 @@ def detect_batch(classify, images, sample_ids=None):
     """Detect many images; each result, in order, is a Verdict or a DetectionError.
 
     Same-shape images are filtered as stacks, a bounded number at a time.
-    When `classify` has a `batch(images) -> [PredictionVector]` method, as
-    ModelClassifier does, each same-shape group is classified by one call
-    over its raw and denoised images. Any other callable is a batch of one
-    image: it is called on the raw image, then on the denoised one, in the
-    order of `images`. If a call fails, or its predictions differ in length,
-    every sample of that batch gets the error.
+    When `classify` has a `batch(images)` method returning (n, k) confidence
+    rows, as ModelClassifier does, each same-shape group is classified by one
+    call over its raw and denoised images. Any other callable is a batch of
+    one image, read by its `.confidences`: it is called on the raw image,
+    then on the denoised one, in the order of `images`. If a call fails, or
+    its rows differ in length, every sample of that batch gets the error.
     """
     images = list(images)
     sample_ids = [""] * len(images) if sample_ids is None else list(sample_ids)
@@ -91,7 +93,7 @@ def detect_batch(classify, images, sample_ids=None):
     batch = getattr(classify, "batch", None)
     single = batch is None
     if single:
-        batch = lambda pair: [classify(img) for img in pair]
+        batch = lambda pair: [classify(img).confidences for img in pair]
     results = [None] * len(images)
     for chunk in _chunks(range(len(images)), lambda i: images[i].pixels.size):
         groups, found = {}, {}  # shape -> indices; index -> (profile, strategy, denoised)
@@ -121,8 +123,8 @@ def detect(classify, img, sample_id=""):
 
     `classify` is any callable mapping an Image to a PredictionVector (or
     any result with `.confidences`). This is detect_batch on one image, so
-    a `batch` method is used when the classifier has one. Classifier
-    failures raise DetectionError with the sample id attached.
+    a `batch` method of (n, k) rows is used when the classifier has one.
+    Classifier failures raise DetectionError with the sample id attached.
     """
     (result,) = detect_batch(classify, [img], [sample_id])
     if isinstance(result, DetectionError):

@@ -135,6 +135,21 @@ class TestFgsm:
         assert ag.build_attack_corpus(model, images[:512], None, ag.AttackConfig(epsilon=0.1),
                                       tmp_path / "c").attacked == 512  # the first chunk alone crafts
 
+    @pytest.mark.filterwarnings("error")  # neither the gradient's overflow nor the NaN rows may warn
+    def test_adversarial_labels_from_non_finite_rows_raise(self, tmp_path):
+        # finite on a black pixel, label 1; the pixel gradient overflows to +inf, whose sign steps the
+        # pixel to 26, where the logits overflow to a NaN row: its argmax would read as label 0
+        k = 2.0**52
+        model = ag.ClassifierModel([[1e300]], [1.0], [[k, -k]], [-k, k + 1])
+        img = ag.Image(np.zeros((1, 1), dtype=np.uint8))
+        assert ag.forward(model, img).label() == 1
+        message = "^confidences must be finite and nonnegative$"
+        with pytest.raises(ValueError, match=message):
+            ag.craft(model, img, ag.AttackConfig(epsilon=0.1))
+        with pytest.raises(ValueError, match=message):
+            ag.build_attack_corpus(model, [img], [1], ag.AttackConfig(epsilon=0.1), tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
     def test_moves_along_the_input_gradient_sign(self, synth_model, synth_data):
         config = ag.AttackConfig(epsilon=0.2)
         for img in synth_data[0][:10]:

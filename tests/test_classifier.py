@@ -425,39 +425,40 @@ class TestBatch:
         rng = np.random.default_rng(8)
         model = random_model(rng)
         img = ag.Image(rng.integers(0, 256, size=(2, 3)).astype(np.uint8))
-        (pv,) = ag.ModelClassifier(model).batch([img])
-        assert pv.confidences.tolist() == ag.forward(model, img).confidences.tolist()
+        (row,) = ag.ModelClassifier(model).batch([img])
+        assert row.tolist() == ag.forward(model, img).confidences.tolist()
 
     def test_labels_equal_forward(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, scale=2.0)
         images = [ag.Image(rng.integers(0, 256, size=(3, 2)).astype(np.uint8)) for _ in range(40)]
-        preds = ag.ModelClassifier(model).batch(images)
-        assert [p.label() for p in preds] == [ag.forward(model, img).label() for img in images]
-        assert len({p.label() for p in preds}) > 1
+        labels = np.argmax(ag.ModelClassifier(model).batch(images), axis=1).tolist()
+        assert labels == [ag.forward(model, img).label() for img in images]
+        assert len(set(labels)) > 1
 
     def test_rows_are_the_forward_softmax_rows(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, scale=2.0)
         images = [ag.Image(rng.integers(0, 256, size=(3, 2)).astype(np.uint8)) for _ in range(40)]
-        softmax = classifier._forward(model, classifier._floats(classifier._rows(images)))[2]
-        preds = ag.ModelClassifier(model).batch(images)
-        assert len(preds) == len(softmax)
-        for p, row in zip(preds, softmax):
-            assert p.confidences.tobytes() == row.tobytes()
-            assert p.label() == int(np.argmax(row))
+        softmax = classifier._forward(model, classifier._rows(images))[2]
+        rows = ag.ModelClassifier(model).batch(images)
+        assert type(rows) is np.ndarray and rows.dtype == np.float64 and rows.shape == (40, model.n_classes)
+        assert rows.tobytes() == softmax.tobytes()
 
     def test_non_finite_row_raises_the_single_image_error_and_no_warning(self):
-        classify = ag.ModelClassifier(overflowing_model())
+        model = overflowing_model()
+        classify = ag.ModelClassifier(model)
         dark, bright = (ag.Image(np.full((2, 2), v, dtype=np.uint8)) for v in (0, 255))
-        assert classify.batch([dark, dark])[0].label() == 0  # a black image stays finite
+        assert np.argmax(classify.batch([dark, dark])[0]) == 0  # a black image stays finite
+        assert ag.accuracy(model, [dark, dark], [0, 1]) == 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead
             with pytest.raises(ValueError) as single:
                 classify(bright)
-            with pytest.raises(ValueError) as batched:
-                classify.batch([dark, bright, dark])
-        assert str(batched.value) == str(single.value) == "confidences must be finite and nonnegative"
+            for call in (classify.batch, lambda images: ag.accuracy(model, images, [0] * len(images))):
+                with pytest.raises(ValueError) as batched:
+                    call([dark, bright, dark])
+                assert str(batched.value) == str(single.value) == "confidences must be finite and nonnegative"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -0.5, 1e308, math.inf, math.nan]),
@@ -475,11 +476,11 @@ class TestBatch:
             warnings.simplefilter("error")
             if errors:
                 with pytest.raises(ValueError) as batched:
-                    ag.PredictionVector._batch(matrix, tol=tol)
+                    classifier._check_confidences(matrix, tol)
                 assert str(batched.value) == errors[0]
             else:
-                vectors = ag.PredictionVector._batch(matrix, tol=tol)
-                assert [v.confidences.tolist() for v in vectors] == rows
+                classifier._check_confidences(matrix, tol)
+                assert matrix.tolist() == rows  # checked, not changed
 
 
 def first_layer_bound(X, model):
@@ -556,8 +557,8 @@ class TestFirstLayerSlices:
         rng = np.random.default_rng(224)
         model = random_model(rng, d=224 * 224 * 3, h=16, n=10, scale=0.05)
         img = ag.Image(rng.integers(0, 256, size=(224, 224, 3), dtype=np.uint8))
-        (pv,) = ag.ModelClassifier(model).batch([img])
-        assert pv.confidences.tobytes() == ag.forward(model, img).confidences.tobytes()
+        (row,) = ag.ModelClassifier(model).batch([img])
+        assert row.tobytes() == ag.forward(model, img).confidences.tobytes()
 
 
 class TestModelFile:

@@ -355,6 +355,26 @@ class TestEvalCommand:
         assert rc == 4 and time.monotonic() - start < 10
         assert "timed out" in capsys.readouterr().err
 
+    def test_external_classifier_report_equals_the_model_report(self, pipeline, tmp_path):
+        import shutil
+        corpus = tmp_path / "two"
+        shutil.copytree(pipeline["corpus"], corpus)
+        manifest = corpus / "manifest.csv"
+        manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:3]))
+        stub = tmp_path / "forward.py"  # the fixture's model, run by forward in a process of its own
+        stub.write_text(f"import sys\nsys.path.insert(0, {str(Path(ag.__file__).parent.parent)!r})\n"
+                        "import advguard as ag\n"
+                        f"model = ag.load_model({str(pipeline['model'])!r})\n"
+                        "img = ag.read_pgm_ppm(open(sys.argv[1], 'rb').read())\n"
+                        "print(*map(repr, ag.forward(model, img).confidences.tolist()))\n")
+        external, built_in = tmp_path / "external.csv", tmp_path / "model.csv"
+        assert main(["eval", "--external", f'"{sys.executable}" "{stub}"', "--timeout", "60",
+                     "--corpus", str(corpus), "--report", str(external)]) == 0
+        assert main(["eval", "--model", str(pipeline["model"]), "--corpus", str(corpus),
+                     "--report", str(built_in)]) == 0
+        assert len(external.read_text().splitlines()) == 1 + 4 + 2  # header, 4 sample rows, summary header and row
+        assert external.read_bytes() == built_in.read_bytes()
+
     def test_timed_out_classifier_not_rerun(self, pipeline, tmp_path, capsys):
         import shutil
         corpus = tmp_path / "three"

@@ -195,21 +195,25 @@ class TestDetectBatch:
     def test_short_batch_result_is_an_error(self):
         class Short:
             def batch(self, images):
-                return [ag.PredictionVector([1.0])]
+                return [[1.0]]
 
         (result,) = ag.detect_batch(Short(), [flat_image(10)], ["a"])
         assert str(result) == "sample a: batch returned 1 predictions for 2 images"
 
-    @pytest.mark.parametrize("denoised_length", [3, 2], ids=["same-length", "ragged"])
-    def test_batch_labels_per_row_lowest_index_on_ties(self, denoised_length):
+    @pytest.mark.parametrize("denoised_length, vectors", [(3, False), (2, False), (3, True)],
+                             ids=["same-length", "ragged", "prediction-vectors"])
+    def test_batch_labels_per_row_lowest_index_on_ties(self, denoised_length, vectors):
         class Fixed:
             def batch(self, images):
                 pad = [0.0] * (denoised_length - 2)
                 rows = [[0.2, 0.4, 0.4], [0.6, 0.2, 0.2], [0.5, 0.5] + pad, [0.1, 0.9] + pad]
-                return [ag.PredictionVector(row) for row in rows]
+                return [ag.PredictionVector(row) for row in rows] if vectors else rows
 
         results = ag.detect_batch(Fixed(), [flat_image(10), flat_image(20)], ["a", "b"])
-        if denoised_length == 2:  # rows of different lengths have no common label space
+        if vectors:  # one object per image is not one confidence row per image
+            assert [str(r) for r in results] == [
+                f"sample {s}: batch returned an array of shape (4,), expected (4, k) confidence rows" for s in "ab"]
+        elif denoised_length == 2:  # rows of different lengths have no common label space
             assert all(isinstance(r, ag.DetectionError) for r in results)
             assert [str(r).split(":")[0] for r in results] == ["sample a", "sample b"]
         else:
