@@ -74,8 +74,7 @@ def _fgsm(model, X, config):
     X = _floats(X)
     z1, _, p = _forward(model, X)
     original = p.argmax(axis=1)
-    with np.errstate(over="ignore"):  # only the sign is used, and sign(+-inf) is +-1
-        grad = _pixel_gradient(model, z1, p, original)  # cross-entropy against the original label
+    grad = _pixel_gradient(model, z1, p, original)  # against the original label; only the sign is used, +-1 at +-inf
     if config.variant == "topk":
         order = np.argsort(-np.abs(grad), axis=1, kind="stable")
         mask = np.zeros(grad.shape, dtype=bool)

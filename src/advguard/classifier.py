@@ -236,7 +236,9 @@ def _hidden_gradient(model, z1, g2):
 
 def _pixel_gradient(model, z1, p, labels):
     """Each row's cross-entropy gradient at the pixels, against its label, from one _forward's z1 and softmax rows p."""
-    return _hidden_gradient(model, z1, p - np.eye(model.n_classes)[labels]) @ model.w1.T
+    # weights that overflow give infinite or NaN gradients, which the callers name; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _hidden_gradient(model, z1, p - np.eye(model.n_classes)[labels]) @ model.w1.T
 
 
 def _parameter_gradients(model, X, labels):
@@ -260,22 +262,37 @@ def loss(model, x, c):
     return float(-np.log(max(p, 1e-300)))
 
 
+def _check_gradients(model, X, grads):
+    """Raise, when a gradient of the row X is not finite, forward's error for X, or else a ValueError naming it."""
+    if not all(np.isfinite(g).all() for g in grads):
+        _softmax(model, X)  # a row forward rejects has NaN gradients: forward's own error names it
+        raise ValueError("loss gradient is not finite: the model overflows on this input")
+
+
 def input_gradient(model, x, c):
     """Exact gradient of the loss with respect to each input pixel.
 
     The result has the shape of the input: an Image's pixel shape, or the
     array's own shape, so a flat row gives a flat gradient. It is taken in
-    the [0, 1] domain either way.
+    the [0, 1] domain either way. An input that forward rejects raises
+    forward's error; one whose gradient overflows, a ValueError.
     """
     _check_class(model, c)
-    z1, _, p = _forward(model, _rows([x]))
-    return _pixel_gradient(model, z1, p, [c]).reshape(x.pixels.shape if isinstance(x, Image) else np.shape(x))
+    X = _rows([x])
+    z1, _, p = _forward(model, X)
+    grad = _pixel_gradient(model, z1, p, [c])
+    _check_gradients(model, X, [grad])
+    return grad.reshape(x.pixels.shape if isinstance(x, Image) else np.shape(x))
 
 
 def parameter_gradients(model, x, c):
-    """Gradients of the loss with respect to (w1, b1, w2, b2)."""
+    """Gradients of the loss with respect to (w1, b1, w2, b2); errors as input_gradient gives them."""
     _check_class(model, c)
-    return _parameter_gradients(model, _rows([x]), [c])
+    X = _rows([x])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gradient is named below
+        grads = _parameter_gradients(model, X, [c])
+    _check_gradients(model, X, grads)
+    return grads
 
 
 def train(images, labels, config=None, hidden=128, classes=10):

@@ -130,7 +130,7 @@ def _filter(pixels, strategy):
 
 
 def _denoise(images):
-    """Entropy profile, strategy and denoised Image of each same-shape image, filtered as stacks."""
+    """The entropy profiles, strategies and denoised Images of same-shape images, as three lists; filtered as stacks."""
     planes = images[0].planes
     stack = np.concatenate([img.pixels for img in images], axis=2)
     profiles = _profiles(stack, planes)
@@ -145,7 +145,7 @@ def _denoise(images):
         combined = _filter(group, strategy)[2]
         for j, i in enumerate(members):
             denoised[i] = Image(combined[:, :, j * planes:(j + 1) * planes])
-    return zip(profiles, strategies, denoised)
+    return profiles, strategies, denoised
 
 
 def adaptive_filter(img, strategy=None):

@@ -63,12 +63,13 @@ class EvaluationResult:
 
 def _label_pairs(batch, raw, denoised):
     """(raw label, denoised label) per image, lowest index on ties; if classifying fails, its exception for each."""
+    n = 2 * len(raw)
     try:
         P = np.asarray(batch(raw + denoised))  # (2n, k) confidence rows, checked by the classifier that made them
-        if len(P) != 2 * len(raw):
-            raise ValueError(f"batch returned {len(P)} predictions for {2 * len(raw)} images")
-        if P.ndim != 2:
-            raise ValueError(f"batch returned an array of shape {P.shape}, expected ({len(P)}, k) confidence rows")
+        if P.ndim != 2 or P.shape[1] == 0:
+            raise ValueError(f"batch returned an array of shape {P.shape}, expected ({n}, k) confidence rows")
+        if len(P) != n:
+            raise ValueError(f"batch returned {len(P)} predictions for {n} images")
         labels = np.argmax(P, axis=1).tolist()
     except Exception as e:
         return [e] * len(raw)
@@ -78,44 +79,38 @@ def _label_pairs(batch, raw, denoised):
 def detect_batch(classify, images, sample_ids=None):
     """Detect many images; each result, in order, is a Verdict or a DetectionError.
 
-    Same-shape images are filtered as stacks, a bounded number at a time.
-    When `classify` has a `batch(images)` method returning (n, k) confidence
-    rows, as ModelClassifier does, each same-shape group is classified by one
-    call over its raw and denoised images. Any other callable is a batch of
-    one image, read by its `.confidences`: it is called on the raw image,
-    then on the denoised one, in the order of `images`. If a call fails, or
-    its rows differ in length, every sample of that batch gets the error.
+    Images go a bounded number at a time, each classifier call's run in one
+    pass. When `classify` has a `batch(images)` method returning (n, k)
+    confidence rows, as ModelClassifier does, a run is a same-shape group:
+    it is filtered as one stack and classified by one call over its raw and
+    denoised images. Any other callable is a run of one image, read by its
+    `.confidences`: the image is filtered alone, then the callable is called
+    on it and on its denoised version, in the order of `images`. If a call
+    fails, or its rows differ in length, every sample of that run gets the error.
     """
     images = list(images)
     sample_ids = [""] * len(images) if sample_ids is None else list(sample_ids)
     if len(sample_ids) != len(images):
         raise ValueError("images and sample ids are not aligned")
     batch = getattr(classify, "batch", None)
-    single = batch is None
-    if single:
+    key = (lambda i: i) if batch is None else (lambda i: images[i].pixels.shape)  # one classifier call per key
+    if batch is None:
         batch = lambda pair: [classify(img).confidences for img in pair]
     results = [None] * len(images)
     for chunk in _chunks(range(len(images)), lambda i: images[i].pixels.size):
-        groups, found = {}, {}  # shape -> indices; index -> (profile, strategy, denoised)
+        runs = {}  # key -> indices of its images, in order
         for i in chunk:
-            groups.setdefault(images[i].pixels.shape, []).append(i)
-        for members in groups.values():
-            found.update(zip(members, _denoise([images[i] for i in members])))
-        for run in ([i] for i in chunk) if single else groups.values():
-            pairs = _label_pairs(batch, [images[i] for i in run], [found[i][2] for i in run])
-            for i, labels in zip(run, pairs):
-                results[i] = _verdict(sample_ids[i], *found[i][:2], labels)
+            runs.setdefault(key(i), []).append(i)
+        for run in runs.values():
+            raw = [images[i] for i in run]
+            profiles, strategies, denoised = _denoise(raw)
+            for i, profile, strategy, labels in zip(run, profiles, strategies, _label_pairs(batch, raw, denoised)):
+                if isinstance(labels, Exception):
+                    results[i] = DetectionError(f"sample {sample_ids[i] or '<unnamed>'}: {labels}")
+                    results[i].__cause__ = labels
+                else:
+                    results[i] = Verdict(sample_ids[i], *labels, labels[0] != labels[1], profile.h2d, strategy)
     return results
-
-
-def _verdict(sample_id, profile, strategy, labels):
-    if isinstance(labels, Exception):
-        error = DetectionError(f"sample {sample_id or '<unnamed>'}: {labels}")
-        error.__cause__ = labels
-        return error
-    original_label, denoised_label = labels
-    return Verdict(sample_id, original_label, denoised_label, original_label != denoised_label,
-                   profile.h2d, strategy)
 
 
 def detect(classify, img, sample_id=""):

@@ -386,7 +386,7 @@ class TestSingleChecks:
         rng = np.random.default_rng(0)
         imgs = [ag.Image(rng.integers(0, 256, size=(4, 4)).astype(np.uint8)) for _ in range(20)]
         labels = [int(v) for v in rng.integers(0, 10, 20)]
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             ag.train(imgs, labels, ag.TrainConfig(epochs=2, learning_rate=1e300), hidden=8)
 
     def test_accuracy_rejects_unaligned_labels(self):
@@ -459,6 +459,20 @@ class TestBatch:
                 with pytest.raises(ValueError) as batched:
                     call([dark, bright, dark])
                 assert str(batched.value) == str(single.value) == "confidences must be finite and nonnegative"
+            # the gradients of a row that forward rejects raise forward's error; those of a finite row that
+            # overflow (the input's, through w1 = 1e300, or every one, through w2 = +-1e308) raise a named one
+            k = 2.0**52
+            through_w1 = ag.ClassifierModel([[1e300]], [1.0], [[k, -k]], [-k, k + 1])
+            through_w2 = ag.ClassifierModel([[1.0]], [0.0], [[1e308, -1e308]], [0.0, 0.0])
+            black, white = (ag.Image(np.full((1, 1), v, dtype=np.uint8)) for v in (0, 255))
+            for gradient, overflowing in ((ag.input_gradient, [(through_w1, black), (through_w2, white)]),
+                                          (ag.parameter_gradients, [(through_w2, white)])):
+                with pytest.raises(ValueError, match=f"^{single.value}$"):
+                    gradient(model, bright, 1)
+                for m, img in overflowing:
+                    with pytest.raises(ValueError, match="^loss gradient is not finite: the model overflows"):
+                        gradient(m, img, 1)
+                gradient(model, dark, 1)  # a black image's gradients stay finite: nothing raises
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -0.5, 1e308, math.inf, math.nan]),

@@ -320,13 +320,13 @@ def test_band_images_as_one_stack():
     # mirrored pixels
     bands = (2, 4, 6)
     images = [band_image(band) for band in bands]
-    stacked = list(_denoise(images))
+    stacked = list(zip(*_denoise(images)))
     for (profile, strategy, denoised), band, img in zip(stacked, bands, images):
         assert profile.h2d.hex() == ag.entropy_2d(img).h2d.hex()
         assert strategy.intervals == band
         assert hashlib.sha256(denoised.pixels.tobytes()).hexdigest() == STAGE_DIGESTS[band][2]
     for name, flip in MIRRORS.items():
-        mirrored = _denoise([ag.Image(flip(img.pixels)) for img in images])
+        mirrored = zip(*_denoise([ag.Image(flip(img.pixels)) for img in images]))
         for (profile, strategy, denoised), (base, base_strategy, base_denoised) in zip(mirrored, stacked):
             assert (profile.h2d.hex(), strategy) == (base.h2d.hex(), base_strategy), name
             assert denoised.pixels.tobytes() == flip(base_denoised.pixels).tobytes(), name

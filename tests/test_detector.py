@@ -192,13 +192,19 @@ class TestDetectBatch:
             "sample a: backend down", "sample <unnamed>: backend down", "sample c: backend down"]
         assert isinstance(results[0].__cause__, RuntimeError)
 
-    def test_short_batch_result_is_an_error(self):
+    @pytest.mark.parametrize("returned, message", [
+        ([[1.0]], "batch returned 1 predictions for 2 images"),
+        (None, "batch returned an array of shape (), expected (2, k) confidence rows"),
+        (3.0, "batch returned an array of shape (), expected (2, k) confidence rows"),
+        (np.zeros((2, 0)), "batch returned an array of shape (2, 0), expected (2, k) confidence rows"),
+    ], ids=["short", "none", "scalar", "no-columns"])
+    def test_short_batch_result_is_an_error(self, returned, message):
         class Short:
             def batch(self, images):
-                return [[1.0]]
+                return returned
 
         (result,) = ag.detect_batch(Short(), [flat_image(10)], ["a"])
-        assert str(result) == "sample a: batch returned 1 predictions for 2 images"
+        assert str(result) == f"sample a: {message}"
 
     @pytest.mark.parametrize("denoised_length, vectors", [(3, False), (2, False), (3, True)],
                              ids=["same-length", "ragged", "prediction-vectors"])
