@@ -79,8 +79,15 @@ class FilteredTriple:
     combined: Image
 
 
+def _check_strategy(strategy):
+    """Refuse a strategy that is not a DenoiseStrategy, such as a bare interval count."""
+    if not isinstance(strategy, DenoiseStrategy):
+        raise ValueError(f"strategy must be a DenoiseStrategy, got {strategy!r}")
+
+
 def quantize(img, strategy):
     """Replace every pixel with its interval's codeword, v // step * step."""
+    _check_strategy(strategy)
     return Image(strategy._codewords(img.pixels))
 
 
@@ -158,6 +165,7 @@ def adaptive_filter(img, strategy=None):
     """
     if strategy is None:
         strategy = select_strategy(entropy_2d(img))
+    _check_strategy(strategy)
     quantized, smoothed, combined = _filter(img.pixels, strategy)
     quantized = Image(quantized)
     if smoothed is None:

@@ -6,6 +6,7 @@ step see them as [0, 1] floats, and each converts the bytes itself.
 """
 
 import gzip
+import re
 import struct
 import zlib
 
@@ -16,6 +17,11 @@ IDX_LABEL_MAGIC = 0x00000801
 _GZIP_MAGIC = b"\x1f\x8b"
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# The PGM/PPM header: the magic, then width, height and maxval, each after whitespace or # comments (a comment
+# runs through its newline), then the one whitespace byte before the payload. Every byte can match in one way
+# only, so a failed match takes linear time; the last group is empty when that byte is missing.
+_HEADER = re.compile(rb"P[56]" + (rb"(?:[%s]|#[^\n]*\n)+([^%s#]+)" % (_WHITESPACE, _WHITESPACE)) * 3
+                     + rb"([%s]?)" % _WHITESPACE)
 
 # A batch ends at 512 images or 1 MiB of pixels, whichever comes first (512
 # digits, or 6 images of 224x224x3), so its float rows stay below 15 MB.
@@ -84,32 +90,6 @@ def _chunks(items, nbytes):
         yield chunk
 
 
-def _header_tokens(data, count):
-    """Read `count` whitespace-delimited header tokens, honoring # comments.
-
-    Returns (tokens, payload_offset); exactly one whitespace byte separates
-    the final token from the binary payload.
-    """
-    tokens = []
-    i, n = 0, len(data)
-    while len(tokens) < count:
-        while i < n and data[i] in _WHITESPACE:
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and data[i] not in _WHITESPACE and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise FormatError("malformed header: missing fields")
-        tokens.append(data[start:i])
-    if i >= n or data[i] not in _WHITESPACE:
-        raise FormatError("malformed header: no separator before pixel payload")
-    return tokens, i + 1
-
-
 def read_pgm_ppm(data):
     """Parse binary PGM (P5) or PPM (P6) bytes with maxval 255."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -119,11 +99,16 @@ def read_pgm_ppm(data):
     if data[:2] not in (b"P5", b"P6") or data[2:3].strip(_WHITESPACE + b"#"):
         raise FormatError(f"malformed header: unsupported magic {data[:8]!r}")
     planes = 1 if data[:2] == b"P5" else 3
-    tokens, offset = _header_tokens(data, 4)
-    if not all(t.isdigit() for t in tokens[1:4]):  # int() alone would take a sign or underscores
+    header = _HEADER.match(data)
+    if header is None:
+        raise FormatError("malformed header: missing fields")
+    *fields, separator = header.groups()
+    if not separator:
+        raise FormatError("malformed header: no separator before pixel payload")
+    if not all(t.isdigit() for t in fields):  # int() alone would take a sign or underscores
         raise FormatError("malformed header: non-numeric dimension or maxval")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        width, height, maxval = (int(t) for t in fields)
     except ValueError:  # more digits than int() converts
         raise FormatError("malformed header: dimension or maxval too long") from None
     if width < 1 or height < 1:
@@ -131,7 +116,7 @@ def read_pgm_ppm(data):
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255")
     expected = width * height * planes
-    payload = data[offset:]
+    payload = data[header.end():]
     if len(payload) < expected:
         raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
     if len(payload) > expected:

@@ -383,3 +383,14 @@ class TestAdaptiveFilter:
         triple = ag.adaptive_filter(img, strategy=ag.DenoiseStrategy(6))
         assert triple.smoothed_quantized is not None
         assert np.all(triple.quantized.pixels == 50)
+
+    def test_none_strategy_selected_from_entropy(self):
+        img = band_image(6)
+        assert ag.adaptive_filter(img, None).combined == ag.adaptive_filter(img, ag.DenoiseStrategy(6)).combined
+
+    # an interval count is not a strategy: named, not an AttributeError on a private name
+    @pytest.mark.parametrize("stage", [ag.quantize, ag.adaptive_filter], ids=["quantize", "adaptive_filter"])
+    @pytest.mark.parametrize("strategy", [6, 6.0, "6"], ids=["int", "float", "str"])
+    def test_non_strategy_rejected(self, stage, strategy):
+        with pytest.raises(ValueError, match=f"^strategy must be a DenoiseStrategy, got {re.escape(repr(strategy))}$"):
+            stage(band_image(6), strategy)

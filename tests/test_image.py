@@ -137,6 +137,41 @@ class TestPgmPpm:
         img = ag.read_pgm_ppm(b"P5\n# a comment\n2 1 255\n" + bytes([9, 8]))
         assert img.pixels[:, :, 0].tolist() == [[9, 8]]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_header_grammar_reads_back_the_encoded_image(self, data):
+        # every whitespace byte, comments holding digits, # and control bytes, and leading zeros between the fields
+        h, w, planes = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 3]))
+        pixels = np.array(data.draw(st.lists(st.integers(0, 255), min_size=h * w * planes, max_size=h * w * planes)),
+                          dtype=np.uint8).reshape(h, w, planes)
+        whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+        comment = st.lists(st.sampled_from([b"0", b"9", b"255", b"#", b"\r", b"\t", b" ", b"x"]), max_size=6).map(
+            lambda parts: b"#" + b"".join(parts) + b"\n")
+        separator = st.lists(st.one_of(whitespace, comment), min_size=1, max_size=4).map(b"".join)
+        encoded = b"P5" if planes == 1 else b"P6"
+        for value in (w, h, 255):
+            encoded += data.draw(separator) + b"0" * data.draw(st.integers(0, 2)) + str(value).encode()
+        encoded += data.draw(whitespace) + pixels.tobytes()
+        assert ag.read_pgm_ppm(encoded) == ag.Image(pixels)
+
+    def test_comment_text_is_not_read_as_fields(self):
+        assert ag.read_pgm_ppm(b"P5 # 9 9 255\n1 1 255\n\x07").pixels.tolist() == [[[7]]]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5 1 1 # 255 and the pixel \x07", "missing fields"),  # a comment that runs to the end of the file
+        (b"P5 1 1 255#c\n\x00", "no separator before pixel payload"),
+    ], ids=["comment-to-eof", "comment-after-maxval"])
+    def test_header_comment_errors(self, data, message):
+        with pytest.raises(ag.FormatError, match=message):
+            ag.read_pgm_ppm(data)
+
+    # about 1 MB of separators before too few fields: a parser that backtracks over them would not finish
+    @pytest.mark.parametrize("data", [b"P5" + b" #\n" * 300_000 + b"1", b"P5" + b" \t" * 500_000 + b"1",
+                                      b"P5 1 " + b"#" * 10**6], ids=["comments", "whitespace", "hashes"])
+    def test_long_malformed_header_rejected_in_linear_time(self, data):
+        with pytest.raises(ag.FormatError, match="missing fields"):
+            ag.read_pgm_ppm(data)
+
     def test_write_single_black_pixel(self):
         data = ag.write_pgm_ppm(ag.Image(np.zeros((1, 1), dtype=np.uint8)))
         assert data.endswith(b"\n255\n\x00")
